@@ -1,15 +1,11 @@
 //! **serve_throughput** — docs/sec of the frozen-model query engine across
-//! worker counts, at `TOPMINE_SCALE`, against `TOPMINE_SHARDS` shards.
+//! worker counts, at `TOPMINE_SCALE`.
 //!
 //! Fits a ToPMine model on a synthetic DBLP-titles corpus, freezes it, and
 //! drives batched fold-in inference through `topmine_serve::QueryEngine`
-//! with 1, 2, 4, ... workers. `TOPMINE_SHARDS` (default 1) picks the
-//! backend: 1 serves the monolithic `FrozenModel`, N > 1 a vocabulary-
-//! range `ShardedModel` — and every run is checked bit-identical against
-//! the monolithic single-worker baseline, so the scatter-gather path is
-//! exercised (and its zero-divergence claim enforced) on every CI push.
-//! The smoke-scale run writes a `BENCH_serve.json` snapshot (including the
-//! shard count) to the working directory for CI trending.
+//! with 1, 2, 4, ... workers; every run is checked bit-identical against
+//! the single-worker run. The smoke-scale run writes a `BENCH_serve.json`
+//! snapshot to the working directory for CI trending.
 //!
 //! Besides batch throughput, a closed-loop single-document pass (cache
 //! disabled, so every request pays full fold-in) records per-request
@@ -30,13 +26,14 @@
 //!   send time — the open-loop convention, so queueing delay is not
 //!   hidden by a slow client.
 //! * **fleet** — the multi-process serving claim at the comms level: a
-//!   `RemoteShardedModel` router gathering φ from shard servers over
-//!   loopback TCP (one batched frame per shard, persistent pipelined
-//!   connections) against the in-process monolith, min-of-N interleaved,
-//!   results asserted bit-identical. Reports the router/monolith time
-//!   ratio, bytes on the wire, and frames per request, and gates the
-//!   ratio when `TOPMINE_MAX_FLEET_OVERHEAD` is set (with a small
-//!   absolute-gap floor so loopback noise on a tiny run cannot fail CI).
+//!   `RemoteShardedModel` router gathering φ from `FLEET_SHARDS` shard
+//!   servers over loopback TCP (one batched frame per shard, persistent
+//!   pipelined connections) against the in-process monolith, min-of-N
+//!   interleaved, results asserted bit-identical. Reports the
+//!   router/monolith time ratio, bytes on the wire, and frames per
+//!   request, and gates the ratio when `TOPMINE_MAX_FLEET_OVERHEAD` is set
+//!   (with a small absolute-gap floor so loopback noise on a tiny run
+//!   cannot fail CI).
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -51,13 +48,8 @@ use topmine_serve::{
 use topmine_synth::Profile;
 use topmine_util::Table;
 
-fn shard_count() -> usize {
-    std::env::var("TOPMINE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
+/// Shards behind the router in the fleet section.
+const FLEET_SHARDS: usize = 3;
 
 fn main() {
     banner(
@@ -67,13 +59,12 @@ fn main() {
     let seed = seed_for("serve_throughput");
     let s = scale();
     let fit_iters = iters(60);
-    let shards = shard_count();
 
     // Train and freeze.
     let (synth, model) = fit_topmine_on_profile(Profile::DblpTitles, s, fit_iters, seed);
     let frozen = model.freeze(&synth.corpus, &topmine_corpus::CorpusOptions::raw());
     println!(
-        "frozen model: {} topics, vocabulary {}, {} lexicon phrases, {shards} shard(s)",
+        "frozen model: {} topics, vocabulary {}, {} lexicon phrases",
         frozen.n_topics(),
         frozen.vocab_size(),
         frozen.lexicon.n_phrases()
@@ -101,18 +92,10 @@ fn main() {
         config.fold_iters
     );
 
-    // The correctness baseline is the monolithic model on one worker; when
-    // TOPMINE_SHARDS > 1 it is computed up front so every sharded run can
-    // be checked against it, otherwise the workers=1 run doubles as the
-    // baseline (no redundant extra pass).
+    // The correctness baseline is the workers=1 run.
     let frozen = Arc::new(frozen);
-    let backend: Arc<dyn ModelBackend> = if shards > 1 {
-        Arc::new(ShardedModel::from_frozen(&frozen, shards).expect("shard model"))
-    } else {
-        frozen.clone()
-    };
-    let mut baseline =
-        (shards > 1).then(|| QueryEngine::new(frozen.clone(), 1).infer_batch(&queries, &config));
+    let backend: Arc<dyn ModelBackend> = frozen.clone();
+    let mut baseline = None;
 
     let mut table = Table::new(["workers", "secs", "docs/sec"]);
     let mut results: Vec<(usize, f64, f64)> = Vec::new();
@@ -126,7 +109,7 @@ fn main() {
             None => baseline = Some(inferences),
             Some(base) => assert_eq!(
                 base, &inferences,
-                "worker/shard count must not change inference results"
+                "worker count must not change inference results"
             ),
         }
         table.row([
@@ -236,7 +219,7 @@ fn main() {
     // off on both sides, so the only difference being measured is the
     // wire: one batched gather frame per shard per batch, pipelined over
     // persistent connections.
-    let fleet_shards = shards.max(2);
+    let fleet_shards = FLEET_SHARDS;
     let fleet_dir =
         std::env::temp_dir().join(format!("topmine-bench-fleet-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&fleet_dir);
@@ -393,7 +376,7 @@ fn main() {
     // JSON snapshot for CI trending.
     let mut json = String::from("{");
     json.push_str(&format!(
-        "\"scale\":{s},\"shards\":{shards},\"n_queries\":{},\"fold_iters\":{},\"runs\":[",
+        "\"scale\":{s},\"n_queries\":{},\"fold_iters\":{},\"runs\":[",
         queries.len(),
         config.fold_iters
     ));
@@ -402,7 +385,7 @@ fn main() {
             json.push(',');
         }
         json.push_str(&format!(
-            "{{\"workers\":{workers},\"shards\":{shards},\"secs\":{secs:.4},\"docs_per_sec\":{dps:.2}}}"
+            "{{\"workers\":{workers},\"secs\":{secs:.4},\"docs_per_sec\":{dps:.2}}}"
         ));
     }
     json.push_str("],\"latency_ms\":{");

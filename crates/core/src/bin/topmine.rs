@@ -115,9 +115,9 @@ fn run_fit(opts: &CliOptions) -> Result<(), String> {
                 eprintln!(
                     "sharded model ({} topics, {} words, {} lexicon phrases, {n} shards) \
                      written to {}",
-                    sharded.n_topics(),
-                    sharded.vocab_size(),
-                    sharded.n_phrases(),
+                    frozen.n_topics(),
+                    frozen.vocab_size(),
+                    frozen.lexicon.n_phrases(),
                     dir.display()
                 );
             }
@@ -139,7 +139,7 @@ fn run_fit(opts: &CliOptions) -> Result<(), String> {
 }
 
 /// Load either bundle layout (monolithic `header.tsv` or sharded
-/// `manifest.tsv`), auto-detected.
+/// `manifest.tsv`, put back together in memory), auto-detected.
 fn load_model(dir: &str) -> Result<Arc<dyn ModelBackend>, String> {
     load_bundle(Path::new(dir)).map_err(|e| format!("loading model {dir}: {e}"))
 }

@@ -110,8 +110,11 @@ FIT OPTIONS:
     --input FILE          text corpus, one document per line (required)
     --output-dir DIR      write vocab.tsv/docs.txt/topics.txt here
     --save-model DIR      freeze the fitted model into a serving bundle
-    --shards N            partition the saved bundle into N vocabulary-range
-                          shards (requires --save-model)  [default: monolithic]
+    --shards N            save the bundle in the fleet's layout: N
+                          vocabulary-range shards, one per serve-shard
+                          process (requires --save-model); serve/infer
+                          without --fleet put the shards back together in
+                          memory                        [default: monolithic]
     --topics K            number of topics              [default: 10]
     --iterations N        Gibbs sweeps                  [default: 500]
     --min-support N       phrase minimum support        [default: auto]
@@ -132,7 +135,8 @@ FIT OPTIONS:
     --help                print this message
 
 SERVE OPTIONS:
-    --model DIR           frozen bundle from --save-model (required)
+    --model DIR           bundle from --save-model, monolithic or
+                          sharded (required)
     --port N              TCP port (0 = ephemeral)      [default: 7878]
     --host ADDR           bind address                  [default: 127.0.0.1]
     --threads N           dispatcher worker threads     [default: 4]
@@ -160,7 +164,8 @@ SERVE-SHARD OPTIONS:
                           `listening on HOST:PORT` once ready
 
 INFER OPTIONS:
-    --model DIR           frozen bundle from --save-model (required)
+    --model DIR           bundle from --save-model, monolithic or
+                          sharded (required)
     --input FILE          documents to infer, one per line (required)
     --threads N           inference worker threads      [default: 1]
     --iters N             fold-in sweeps                [default: 20]

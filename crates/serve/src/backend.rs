@@ -1,29 +1,31 @@
 //! The `ModelBackend` seam: everything below the HTTP layer talks to a
 //! fitted model through this trait, so the serving stack is agnostic to
-//! how the model is materialized in memory — one monolithic
-//! [`FrozenModel`](crate::FrozenModel) bundle, or a
-//! [`ShardedModel`](crate::ShardedModel) composed of vocabulary-range
-//! shards in the parameter-server style (LightLDA's vocabulary-sliced
-//! workers are the reference design).
+//! where the model lives — in this process's memory as one
+//! [`FrozenModel`](crate::FrozenModel) (loaded from either bundle layout),
+//! or behind the fleet router
+//! [`RemoteShardedModel`](crate::RemoteShardedModel), whose φ lives in
+//! vocabulary-range shard processes in the parameter-server style
+//! (LightLDA's vocabulary-sliced workers are the reference design).
 //!
 //! The contract is the three things fold-in inference needs:
 //!
 //! 1. the **preprocessing contract** ([`ModelBackend::prepare`]) — unseen
 //!    text normalized exactly as training text was;
 //! 2. the **lexicon** ([`ModelBackend::segment`]) — Algorithm 2 against
-//!    the frozen phrase counts, wherever they live;
-//! 3. **φ access** ([`ModelBackend::gather_phi`]) — the scatter-gather
-//!    primitive: fetch the φ columns for a document's words from whichever
-//!    shard owns them, as one dense topic-major table.
+//!    the frozen phrase counts;
+//! 3. **φ access** ([`ModelBackend::try_gather_phi`]) — fetch the φ
+//!    columns for a set of words, wherever they live, as one dense
+//!    topic-major table. A backend implements this one gather; a single
+//!    document's words and a whole dispatch batch's union go through it
+//!    alike.
 //!
 //! Every implementation must be *bit-identical* to every other for the
-//! same fitted model: `gather_phi` returns the exact trained `f64`s and
+//! same fitted model: the gather returns the exact trained `f64`s and
 //! `segment` the exact trained counts, so
 //! [`infer_doc`](crate::infer::infer_doc) produces the same θ, ranking,
 //! and annotations whatever the backend or shard count.
 
 use crate::frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
-use crate::sharded::ShardedModel;
 use std::fmt;
 use std::hash::Hasher;
 use std::io;
@@ -120,8 +122,8 @@ pub trait ModelBackend: Send + Sync {
     /// The on-disk format tag this backend was (or would be) persisted as.
     fn format_tag(&self) -> &'static str;
 
-    /// How many vocabulary-range shards compose this backend (1 for the
-    /// monolithic bundle).
+    /// How many vocabulary-range shards compose this backend (1 for an
+    /// in-memory model, whichever layout it was loaded from).
     fn n_shards(&self) -> usize {
         1
     }
@@ -137,43 +139,21 @@ pub trait ModelBackend: Send + Sync {
     /// with the trained counts and threshold).
     fn segment(&self, doc: &Document) -> Vec<(u32, u32)>;
 
-    /// Scatter-gather primitive: fetch `φ[·][w]` for each word of `words`
-    /// from its owning shard into one dense topic-major table — entry
-    /// `(t, j)` of the returned `n_topics × words.len()` row-major matrix
-    /// is the trained `φ[t][words[j]]`, bit-exact.
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64>;
+    /// The φ gather: entry `(t, j)` of the returned `n_topics ×
+    /// words.len()` row-major matrix is the trained `φ[t][words[j]]`,
+    /// bit-exact. `words` may be one document's distinct words or a whole
+    /// dispatch batch's union. A remote backend surfaces shard failures as
+    /// a [`BackendError`]; the in-memory one never fails.
+    fn try_gather_phi(&self, words: &[u32], opts: &GatherOptions)
+        -> Result<Vec<f64>, BackendError>;
 
-    /// Batch scatter-gather: the same contract as
-    /// [`gather_phi`](ModelBackend::gather_phi), but `words` is the union
-    /// of a whole dispatch batch's distinct words, so a sharded backend can
-    /// do one fan-out per *batch* instead of per document. Must return the
-    /// exact bytes `gather_phi` would — the default simply delegates;
-    /// overrides may only reorganize the traversal, never the values.
+    /// Infallible [`try_gather_phi`](ModelBackend::try_gather_phi) with
+    /// no deadline, for callers outside the serving path (benchmarks
+    /// gathering a batch union of words); panics if a remote backend
+    /// fails.
     fn gather_phi_batch(&self, words: &[u32]) -> Vec<f64> {
-        self.gather_phi(words)
-    }
-
-    /// Fallible [`gather_phi`](ModelBackend::gather_phi): remote backends
-    /// surface shard failures here instead of panicking. In-memory
-    /// backends keep the infallible default.
-    fn try_gather_phi(
-        &self,
-        words: &[u32],
-        opts: &GatherOptions,
-    ) -> Result<Vec<f64>, BackendError> {
-        let _ = opts;
-        Ok(self.gather_phi(words))
-    }
-
-    /// Fallible [`gather_phi_batch`](ModelBackend::gather_phi_batch); same
-    /// contract, batch-union flavor.
-    fn try_gather_phi_batch(
-        &self,
-        words: &[u32],
-        opts: &GatherOptions,
-    ) -> Result<Vec<f64>, BackendError> {
-        let _ = opts;
-        Ok(self.gather_phi_batch(words))
+        self.try_gather_phi(words, &GatherOptions::default())
+            .unwrap_or_else(|e| panic!("phi gather failed: {e}"))
     }
 
     /// Per-shard fleet health as a JSON array, when this backend fronts
@@ -229,44 +209,27 @@ pub trait ModelBackend: Send + Sync {
     }
 }
 
-/// Load a serving bundle from `dir`, auto-detecting the layout: a
-/// `manifest.tsv` marks the sharded format
-/// ([`SHARDED_MODEL_FORMAT`](crate::SHARDED_MODEL_FORMAT)), a
-/// `header.tsv` the monolithic one
-/// ([`FROZEN_MODEL_FORMAT`](crate::FROZEN_MODEL_FORMAT)). Both savers
-/// clean the other format's marker files, so a bundle directory is never
-/// ambiguous.
+/// Load a serving bundle from `dir` into memory, whichever layout it
+/// holds ([`FrozenModel::load`]): a sharded bundle is put back together
+/// into one model, so it reports one shard and
+/// [`FROZEN_MODEL_FORMAT`](crate::FROZEN_MODEL_FORMAT). Only the fleet
+/// router ([`RemoteShardedModel`](crate::RemoteShardedModel)) serves the
+/// shards apart.
 pub fn load_bundle(dir: &Path) -> io::Result<Arc<dyn ModelBackend>> {
-    if dir.join("manifest.tsv").exists() {
-        Ok(Arc::new(ShardedModel::load(dir)?))
-    } else if dir.join("header.tsv").exists() {
-        Ok(Arc::new(FrozenModel::load(dir)?))
-    } else {
-        Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!(
-                "{}: neither manifest.tsv (sharded bundle) nor header.tsv \
-                 (monolithic bundle) found",
-                dir.display()
-            ),
-        ))
-    }
+    Ok(Arc::new(FrozenModel::load(dir)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frozen::tests::tiny_model;
+    use crate::ShardedModel;
 
     #[test]
     fn fingerprint_is_stable_and_shape_sensitive() {
         let m = tiny_model();
         let a = ModelBackend::fingerprint(&m);
         assert_eq!(a, ModelBackend::fingerprint(&m));
-        // A sharded view of the same model shares header/α/lexicon size, so
-        // it fingerprints identically — same artifact, same key space.
-        let sharded = ShardedModel::from_frozen(&m, 3).unwrap();
-        assert_eq!(a, ModelBackend::fingerprint(&sharded));
         let mut other = tiny_model();
         other.header.n_docs += 1;
         assert_ne!(a, ModelBackend::fingerprint(&other));
@@ -281,13 +244,17 @@ mod tests {
         let backend = load_bundle(&dir).unwrap();
         assert_eq!(backend.format_tag(), crate::FROZEN_MODEL_FORMAT);
         assert_eq!(backend.n_shards(), 1);
+        let fingerprint = backend.fingerprint();
         ShardedModel::from_frozen(&m, 2)
             .unwrap()
             .save(&dir)
             .unwrap();
+        // A sharded bundle loads back into the same in-memory model: one
+        // shard, the frozen tag, the same response-cache key space.
         let backend = load_bundle(&dir).unwrap();
-        assert_eq!(backend.format_tag(), crate::SHARDED_MODEL_FORMAT);
-        assert_eq!(backend.n_shards(), 2);
+        assert_eq!(backend.format_tag(), crate::FROZEN_MODEL_FORMAT);
+        assert_eq!(backend.n_shards(), 1);
+        assert_eq!(backend.fingerprint(), fingerprint);
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(load_bundle(&dir).is_err());
     }

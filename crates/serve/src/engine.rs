@@ -1,6 +1,6 @@
 //! The concurrent query engine: a fixed pool of worker threads sharing one
-//! `Arc<dyn ModelBackend>` — monolithic or sharded, the engine cannot
-//! tell.
+//! `Arc<dyn ModelBackend>` — an in-memory model or the fleet router, the
+//! engine cannot tell.
 //!
 //! The backend is immutable after load, so workers need no locking — each
 //! fold-in pass touches only its own scratch state. Batch inference fans

@@ -16,16 +16,19 @@
 //! The on-disk layout is a directory of plain TSV files fronted by
 //! `header.tsv`, whose first line carries [`FROZEN_MODEL_FORMAT`]; loading
 //! any other version fails with an error naming both versions, never a
-//! panic.
+//! panic. [`FrozenModel::load`] also reads the fleet's sharded layout
+//! ([`crate::sharded`]), putting the shards back together into one model,
+//! so a process serving from its own memory always holds one
+//! `FrozenModel`.
 
-use crate::backend::ModelBackend;
+use crate::backend::{BackendError, GatherOptions, ModelBackend};
 use crate::trie::PhraseTrie;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-use topmine_corpus::{io as corpus_io, porter_stem, tokenize_chunks, Document, StopwordSet, Vocab};
+use topmine_corpus::{porter_stem, tokenize_chunks, Document, StopwordSet, Vocab};
 use topmine_lda::PhraseLda;
-use topmine_phrase::{PhraseConstructor, PhraseStats};
+use topmine_phrase::{PhraseConstructor, PhraseCounts, PhraseStats};
 
 /// Version tag on the first line of `header.tsv`.
 pub const FROZEN_MODEL_FORMAT: &str = "topmine-frozen-model/1";
@@ -131,53 +134,11 @@ pub(crate) fn remove_if_present(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Normalize unseen text with a frozen preprocessing contract and map it
-/// through a vocabulary lookup — the one preprocessing implementation both
-/// the monolithic and sharded backends share, so their `prepare` paths
-/// cannot drift.
-pub(crate) fn prepare_with(
-    preprocess: &PreprocessConfig,
-    stopword_set: &StopwordSet,
-    lookup: impl Fn(&str) -> Option<u32>,
-    text: &str,
-) -> PreparedDoc {
-    let mut chunks: Vec<Vec<u32>> = Vec::new();
-    let mut current_chunk: Option<u32> = None;
-    let mut n_oov = 0usize;
-    for tok in tokenize_chunks(text) {
-        if current_chunk != Some(tok.chunk) {
-            chunks.push(Vec::new());
-            current_chunk = Some(tok.chunk);
-        }
-        if tok.text.chars().count() < preprocess.min_token_len {
-            continue;
-        }
-        if preprocess.remove_stopwords && stopword_set.contains(&tok.text) {
-            continue;
-        }
-        let term = if preprocess.stem {
-            porter_stem(&tok.text)
-        } else {
-            tok.text
-        };
-        if term.is_empty() {
-            continue;
-        }
-        match lookup(&term) {
-            Some(id) => chunks.last_mut().expect("chunk open").push(id),
-            None => n_oov += 1,
-        }
-    }
-    PreparedDoc {
-        doc: Document::from_chunks(chunks),
-        n_oov,
-    }
-}
-
 /// The `key<TAB>value` pairs both bundle headers share — shapes, Algorithm
 /// 2 parameters, preprocessing contract, α vector. `header.tsv` is exactly
 /// these; the sharded `manifest.tsv` wraps them with its shard topology.
-/// One builder, so the two layouts cannot drift field by field.
+/// One builder, so the two layouts cannot drift field by field;
+/// [`RawHeader::load`] is its inverse.
 pub(crate) fn bundle_header_pairs(
     header: &ModelHeader,
     preprocess: &PreprocessConfig,
@@ -205,18 +166,17 @@ pub(crate) fn bundle_header_pairs(
     pairs
 }
 
-/// Serialize a lexicon trie as `lexicon.tsv`: the `total_tokens` line,
-/// then `count<TAB>space-joined ids` in canonical (lexicographic) order.
-/// The one writer both bundle layouts share; [`load_lexicon`] is its
-/// inverse.
-pub(crate) fn save_lexicon_file(trie: &PhraseTrie, path: &Path) -> io::Result<()> {
+/// Write `lexicon.tsv`: the `total_tokens` line, then `count<TAB>space-joined
+/// ids` per phrase, in the trie's canonical (lexicographic) order. The one
+/// writer both bundle layouts share; [`load_lexicon`] is its inverse.
+pub(crate) fn save_lexicon_file(
+    path: &Path,
+    total_tokens: u64,
+    phrases: &[(Vec<u32>, u64)],
+) -> io::Result<()> {
     let mut out = BufWriter::new(File::create(path)?);
-    writeln!(
-        out,
-        "total_tokens\t{}",
-        topmine_phrase::PhraseCounts::total_tokens(trie)
-    )?;
-    for (phrase, count) in trie.iter_phrases() {
+    writeln!(out, "total_tokens\t{total_tokens}")?;
+    for (phrase, count) in phrases {
         write!(out, "{count}\t")?;
         for (i, w) in phrase.iter().enumerate() {
             if i > 0 {
@@ -225,6 +185,19 @@ pub(crate) fn save_lexicon_file(trie: &PhraseTrie, path: &Path) -> io::Result<()
             write!(out, "{w}")?;
         }
         writeln!(out)?;
+    }
+    out.flush()
+}
+
+/// Write `stopwords.txt`, one word per line — or remove it when the list is
+/// empty, since loaders treat the file's presence as meaning.
+pub(crate) fn save_stopword_file(path: &Path, stopwords: &[String]) -> io::Result<()> {
+    if stopwords.is_empty() {
+        return remove_if_present(path);
+    }
+    let mut out = BufWriter::new(File::create(path)?);
+    for w in stopwords {
+        writeln!(out, "{w}")?;
     }
     out.flush()
 }
@@ -246,6 +219,105 @@ pub(crate) fn load_stopword_file(path: &Path) -> io::Result<Vec<String>> {
     Ok(words)
 }
 
+/// Write an `id<TAB>string` table (`vocab.tsv`, `unstem.tsv`).
+pub(crate) fn save_id_table<'s>(
+    path: &Path,
+    rows: impl Iterator<Item = (u32, &'s str)>,
+) -> io::Result<()> {
+    let mut out = BufWriter::new(File::create(path)?);
+    for (id, text) in rows {
+        writeln!(out, "{id}\t{text}")?;
+    }
+    out.flush()
+}
+
+/// The rows of an unstem table for ids `[lo, hi)`: an empty surface means
+/// "display the vocabulary word" and is not written.
+pub(crate) fn unstem_rows(
+    unstem: &[String],
+    lo: u32,
+    hi: u32,
+) -> impl Iterator<Item = (u32, &str)> {
+    (lo..hi)
+        .map(|id| (id, unstem[id as usize].as_str()))
+        .filter(|(_, surface)| !surface.is_empty())
+}
+
+/// Read the `id<TAB>string` table `dir/name`, calling `put(id, string)` per
+/// line. Ids outside `[lo, hi)` are errors (`lo` is the first id a shard
+/// owns, 0 for a whole model), and every error names `name` and the line.
+fn read_id_table(
+    dir: &Path,
+    name: &str,
+    lo: u32,
+    hi: u32,
+    mut put: impl FnMut(u32, &str) -> Result<(), String>,
+) -> io::Result<()> {
+    let file =
+        File::open(dir.join(name)).map_err(|e| io::Error::new(e.kind(), format!("{name}: {e}")))?;
+    for (i, line) in BufReader::new(file).lines().enumerate() {
+        let line = line?;
+        if line.is_empty() {
+            continue;
+        }
+        let at = |msg: String| data_err(format!("{name} line {}: {msg}", i + 1));
+        let (id_str, text) = line
+            .split_once('\t')
+            .ok_or_else(|| at("not id<TAB>string".into()))?;
+        let id: u32 = id_str
+            .parse()
+            .map_err(|_| at(format!("bad id {id_str:?}")))?;
+        if id < lo || id >= hi {
+            return Err(at(format!("id {id} outside [{lo}, {hi})")));
+        }
+        put(id, text).map_err(at)?;
+    }
+    Ok(())
+}
+
+/// Append the vocabulary table `dir/name` — ids `[lo, hi)`, dense and in
+/// order, following the words `vocab` already holds — to `vocab`.
+pub(crate) fn read_vocab(
+    vocab: &mut Vocab,
+    dir: &Path,
+    name: &str,
+    lo: u32,
+    hi: u32,
+) -> io::Result<()> {
+    read_id_table(dir, name, lo, hi, |id, word| {
+        let expected = vocab.len() as u32;
+        if id != expected {
+            return Err(format!("id {id} out of order (expected {expected})"));
+        }
+        if vocab.intern(word) != id {
+            return Err(format!("word {word:?} is listed twice"));
+        }
+        Ok(())
+    })?;
+    if vocab.len() != hi as usize {
+        return Err(data_err(format!(
+            "{name} has {} words for ids [{lo}, {hi})",
+            vocab.len() - lo as usize
+        )));
+    }
+    Ok(())
+}
+
+/// Fill `table` from the unstem table `dir/name` (ids `[lo, hi)`, indexing
+/// `table` globally; ids it leaves out keep their empty string).
+pub(crate) fn read_unstem(
+    table: &mut [String],
+    dir: &Path,
+    name: &str,
+    lo: u32,
+    hi: u32,
+) -> io::Result<()> {
+    read_id_table(dir, name, lo, hi, |id, surface| {
+        table[id as usize] = surface.to_string();
+        Ok(())
+    })
+}
+
 impl FrozenModel {
     /// Freeze a fitted model. `stats` and `seg_alpha` are the mining-side
     /// outputs (Algorithm 1 counts and the Algorithm 2 threshold), `model`
@@ -263,10 +335,8 @@ impl FrozenModel {
             model.vocab_size(),
             "corpus and sampler disagree on vocabulary size"
         );
-        let preprocess = PreprocessConfig::from_corpus_options(options);
-        let stopword_set = StopwordSet::from_words(preprocess.stopwords.iter().map(String::as_str));
-        Self {
-            header: ModelHeader {
+        Self::from_parts_unchecked(
+            ModelHeader {
                 n_topics: model.n_topics(),
                 vocab_size: model.vocab_size(),
                 n_docs: corpus.n_docs(),
@@ -274,14 +344,13 @@ impl FrozenModel {
                 seg_alpha,
                 beta: model.beta(),
             },
-            preprocess,
-            vocab: corpus.vocab.clone(),
-            unstem: corpus.unstem.clone(),
-            lexicon: PhraseTrie::from_stats(stats),
-            phi: model.phi(),
-            alpha: model.alpha().to_vec(),
-            stopword_set,
-        }
+            PreprocessConfig::from_corpus_options(options),
+            corpus.vocab.clone(),
+            corpus.unstem.clone(),
+            PhraseTrie::from_stats(stats),
+            model.phi(),
+            model.alpha().to_vec(),
+        )
     }
 
     /// Assemble a model from raw parts (tests, format converters). Shape
@@ -295,7 +364,24 @@ impl FrozenModel {
         phi: Vec<Vec<f64>>,
         alpha: Vec<f64>,
     ) -> io::Result<Self> {
-        let model = Self {
+        let model =
+            Self::from_parts_unchecked(header, preprocess, vocab, unstem, lexicon, phi, alpha);
+        model.validate().map_err(data_err)?;
+        Ok(model)
+    }
+
+    /// [`FrozenModel::from_parts`] without the checks; the caller runs
+    /// [`FrozenModel::validate_with`].
+    pub(crate) fn from_parts_unchecked(
+        header: ModelHeader,
+        preprocess: PreprocessConfig,
+        vocab: Vocab,
+        unstem: Option<Vec<String>>,
+        lexicon: PhraseTrie,
+        phi: Vec<Vec<f64>>,
+        alpha: Vec<f64>,
+    ) -> Self {
+        Self {
             stopword_set: StopwordSet::from_words(preprocess.stopwords.iter().map(String::as_str)),
             header,
             preprocess,
@@ -304,13 +390,18 @@ impl FrozenModel {
             lexicon,
             phi,
             alpha,
-        };
-        model.validate().map_err(data_err)?;
-        Ok(model)
+        }
     }
 
     /// Structural invariants every loaded/assembled model satisfies.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_with(true)
+    }
+
+    /// Like [`FrozenModel::validate`], but `with_phi = false` accepts the
+    /// fleet router's phi-less local view (φ lives in the shard processes,
+    /// so it must then be absent, not merely misshapen).
+    pub(crate) fn validate_with(&self, with_phi: bool) -> Result<(), String> {
         let h = &self.header;
         if self.vocab.len() != h.vocab_size {
             return Err(format!(
@@ -319,14 +410,17 @@ impl FrozenModel {
                 h.vocab_size
             ));
         }
-        if self.phi.len() != h.n_topics {
+        if !with_phi {
+            if !self.phi.is_empty() {
+                return Err("a phi-less view carries phi".into());
+            }
+        } else if self.phi.len() != h.n_topics {
             return Err(format!(
                 "phi has {} rows, header says {} topics",
                 self.phi.len(),
                 h.n_topics
             ));
-        }
-        if let Some(row) = self.phi.iter().find(|r| r.len() != h.vocab_size) {
+        } else if let Some(row) = self.phi.iter().find(|r| r.len() != h.vocab_size) {
             return Err(format!(
                 "phi row has {} columns, header says vocab_size {}",
                 row.len(),
@@ -386,12 +480,38 @@ impl FrozenModel {
     /// map through the *frozen* vocabulary. Out-of-vocabulary terms are
     /// dropped (and counted) — fold-in has no estimate for them.
     pub fn prepare(&self, text: &str) -> PreparedDoc {
-        prepare_with(
-            &self.preprocess,
-            &self.stopword_set,
-            |term| self.vocab.id(term),
-            text,
-        )
+        let preprocess = &self.preprocess;
+        let mut chunks: Vec<Vec<u32>> = Vec::new();
+        let mut current_chunk: Option<u32> = None;
+        let mut n_oov = 0usize;
+        for tok in tokenize_chunks(text) {
+            if current_chunk != Some(tok.chunk) {
+                chunks.push(Vec::new());
+                current_chunk = Some(tok.chunk);
+            }
+            if tok.text.chars().count() < preprocess.min_token_len {
+                continue;
+            }
+            if preprocess.remove_stopwords && self.stopword_set.contains(&tok.text) {
+                continue;
+            }
+            let term = if preprocess.stem {
+                porter_stem(&tok.text)
+            } else {
+                tok.text
+            };
+            if term.is_empty() {
+                continue;
+            }
+            match self.vocab.id(&term) {
+                Some(id) => chunks.last_mut().expect("chunk open").push(id),
+                None => n_oov += 1,
+            }
+        }
+        PreparedDoc {
+            doc: Document::from_chunks(chunks),
+            n_oov,
+        }
     }
 
     /// Segment a prepared document against the frozen lexicon (Algorithm 2
@@ -408,135 +528,107 @@ impl FrozenModel {
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         // A sharded bundle previously saved here must not shadow this one:
-        // `load_bundle` treats manifest.tsv as the sharded format's marker.
+        // `load` treats manifest.tsv as the sharded layout's marker.
         remove_if_present(&dir.join("manifest.tsv"))?;
         crate::sharded::remove_stale_shards(dir, 0)?;
-        self.save_header(&dir.join("header.tsv"))?;
-        corpus_io::save_vocab(&self.vocab, &dir.join("vocab.tsv"))?;
-        self.save_lexicon(&dir.join("lexicon.tsv"))?;
-        topmine_lda::io::save_phi_matrix(&self.phi, &dir.join("phi.tsv"))?;
-        // The optional files must not survive from a previous bundle saved
-        // into the same directory: load() treats their presence as meaning.
-        let stopwords_path = dir.join("stopwords.txt");
-        if self.preprocess.stopwords.is_empty() {
-            remove_if_present(&stopwords_path)?;
-        } else {
-            let mut out = BufWriter::new(File::create(&stopwords_path)?);
-            for w in &self.preprocess.stopwords {
-                writeln!(out, "{w}")?;
-            }
-            out.flush()?;
-        }
-        let unstem_path = dir.join("unstem.tsv");
-        match &self.unstem {
-            None => remove_if_present(&unstem_path)?,
-            Some(unstem) => {
-                let mut out = BufWriter::new(File::create(&unstem_path)?);
-                for (id, surface) in unstem.iter().enumerate() {
-                    if !surface.is_empty() {
-                        writeln!(out, "{id}\t{surface}")?;
-                    }
-                }
-                out.flush()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn save_header(&self, path: &Path) -> io::Result<()> {
         let pairs = bundle_header_pairs(
             &self.header,
             &self.preprocess,
             self.lexicon.min_support(),
             &self.alpha,
         );
-        topmine_lda::io::save_versioned_kv(path, FROZEN_MODEL_FORMAT, pairs)
-    }
-
-    fn save_lexicon(&self, path: &Path) -> io::Result<()> {
-        save_lexicon_file(&self.lexicon, path)
-    }
-
-    /// Load a bundle written by [`FrozenModel::save`]. The header's format
-    /// line is checked first; every other failure (missing file, bad
-    /// number, shape mismatch) is an `io::Error` naming the file and line.
-    pub fn load(dir: &Path) -> io::Result<Self> {
-        let raw = RawHeader::load(&dir.join("header.tsv"))?;
-        let vocab = corpus_io::load_vocab(&dir.join("vocab.tsv"))?;
-        let lexicon = load_lexicon(&dir.join("lexicon.tsv"), raw.min_support)?;
-        let phi = topmine_lda::io::load_phi(&dir.join("phi.tsv"))?;
-        let stopwords = load_stopword_file(&dir.join("stopwords.txt"))?;
+        topmine_lda::io::save_versioned_kv(&dir.join("header.tsv"), FROZEN_MODEL_FORMAT, pairs)?;
+        save_id_table(&dir.join("vocab.tsv"), self.vocab.iter())?;
+        save_lexicon_file(
+            &dir.join("lexicon.tsv"),
+            PhraseCounts::total_tokens(&self.lexicon),
+            &self.lexicon.iter_phrases(),
+        )?;
+        topmine_lda::io::save_phi_matrix(&self.phi, &dir.join("phi.tsv"))?;
+        // The optional files must not survive from a previous bundle saved
+        // into the same directory: load() treats their presence as meaning.
+        save_stopword_file(&dir.join("stopwords.txt"), &self.preprocess.stopwords)?;
         let unstem_path = dir.join("unstem.tsv");
-        let unstem = if unstem_path.exists() {
-            let mut table = vec![String::new(); vocab.len()];
-            let reader = BufReader::new(File::open(&unstem_path)?);
-            for (i, line) in reader.lines().enumerate() {
-                let line = line?;
-                if line.is_empty() {
-                    continue;
-                }
-                let (id_str, surface) = line.split_once('\t').ok_or_else(|| {
-                    data_err(format!("unstem line {}: not id<TAB>surface", i + 1))
-                })?;
-                let id: usize = id_str
-                    .parse()
-                    .map_err(|_| data_err(format!("unstem line {}: bad id {id_str:?}", i + 1)))?;
-                if id >= table.len() {
-                    return Err(data_err(format!(
-                        "unstem line {}: id {id} outside vocabulary",
-                        i + 1
-                    )));
-                }
-                table[id] = surface.to_string();
+        match &self.unstem {
+            None => remove_if_present(&unstem_path),
+            Some(unstem) => {
+                save_id_table(&unstem_path, unstem_rows(unstem, 0, unstem.len() as u32))
             }
+        }
+    }
+
+    /// Load the bundle in `dir`, whichever layout it holds: a
+    /// `manifest.tsv` marks the fleet's sharded layout, whose shards are
+    /// put back together into one model ([`crate::sharded`]); a
+    /// `header.tsv` marks the monolithic one. Both savers remove the other
+    /// layout's marker, so a directory is never ambiguous. The format line
+    /// is checked first; every other failure (missing file, bad number,
+    /// shape mismatch) is an `io::Error` naming the file.
+    pub fn load(dir: &Path) -> io::Result<Self> {
+        if dir.join("manifest.tsv").exists() {
+            return crate::sharded::load_sharded(dir, true).map(|(model, _)| model);
+        }
+        if !dir.join("header.tsv").exists() {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!(
+                    "{}: neither manifest.tsv (sharded bundle) nor header.tsv \
+                     (monolithic bundle) found",
+                    dir.display()
+                ),
+            ));
+        }
+        let raw = RawHeader::load(&dir.join("header.tsv"), FROZEN_MODEL_FORMAT, |_, _| {
+            Ok(false)
+        })?;
+        let v = raw.header.vocab_size as u32;
+        let mut vocab = Vocab::new();
+        read_vocab(&mut vocab, dir, "vocab.tsv", 0, v)?;
+        let unstem = if dir.join("unstem.tsv").exists() {
+            let mut table = vec![String::new(); v as usize];
+            read_unstem(&mut table, dir, "unstem.tsv", 0, v)?;
             Some(table)
         } else {
             None
         };
+        let lexicon = load_lexicon(&dir.join("lexicon.tsv"), raw.min_support)?;
+        let phi = topmine_lda::io::load_phi(&dir.join("phi.tsv"))?;
+        let mut preprocess = raw.preprocess;
+        preprocess.stopwords = load_stopword_file(&dir.join("stopwords.txt"))?;
         Self::from_parts(
-            ModelHeader {
-                n_topics: raw.n_topics,
-                vocab_size: raw.vocab_size,
-                n_docs: raw.n_docs,
-                n_tokens: raw.n_tokens,
-                seg_alpha: raw.seg_alpha,
-                beta: raw.beta,
-            },
-            PreprocessConfig {
-                stem: raw.stem,
-                remove_stopwords: raw.remove_stopwords,
-                min_token_len: raw.min_token_len,
-                stopwords,
-            },
-            vocab,
-            unstem,
-            lexicon,
-            phi,
-            raw.alpha,
+            raw.header, preprocess, vocab, unstem, lexicon, phi, raw.alpha,
         )
     }
 }
 
-/// Parsed `header.tsv` before assembly.
-struct RawHeader {
-    n_topics: usize,
-    vocab_size: usize,
-    n_docs: usize,
-    n_tokens: u64,
-    seg_alpha: f64,
-    beta: f64,
-    min_support: u64,
-    stem: bool,
-    remove_stopwords: bool,
-    min_token_len: usize,
-    alpha: Vec<f64>,
+/// The header both layouts share (`header.tsv`, and the common part of the
+/// sharded `manifest.tsv`), parsed.
+pub(crate) struct RawHeader {
+    pub(crate) header: ModelHeader,
+    /// The preprocessing contract minus the stop word list, which lives in
+    /// its own file.
+    pub(crate) preprocess: PreprocessConfig,
+    pub(crate) min_support: u64,
+    pub(crate) alpha: Vec<f64>,
 }
 
 impl RawHeader {
-    fn load(path: &Path) -> io::Result<Self> {
+    /// Parse the versioned `key<TAB>value` file at `path` (format line
+    /// `format`). A key outside the shared set goes to `extra` — the
+    /// manifest's shard topology — which returns `Ok(false)` for a key it
+    /// does not know either. Errors name the file and line.
+    pub(crate) fn load(
+        path: &Path,
+        format: &str,
+        mut extra: impl FnMut(&str, &str) -> Result<bool, String>,
+    ) -> io::Result<Self> {
+        let file = path
+            .file_name()
+            .map(|f| f.to_string_lossy().into_owned())
+            .unwrap_or_default();
         // The versioned key<TAB>value plumbing (format line, line-numbered
         // errors) is shared with the LDA bundle format.
-        let pairs = topmine_lda::io::read_versioned_kv(path, FROZEN_MODEL_FORMAT)?;
+        let pairs = topmine_lda::io::read_versioned_kv(path, format)?;
         let mut n_topics = None;
         let mut vocab_size = None;
         let mut n_docs = None;
@@ -549,13 +641,11 @@ impl RawHeader {
         let mut min_token_len = None;
         let mut alphas: Vec<(usize, f64)> = Vec::new();
         for (line_no, key, value) in pairs {
+            let at = |msg: String| data_err(format!("{file} line {line_no}: {msg}"));
+            let bad_value = || at(format!("bad value for {key}: {value:?}"));
             macro_rules! parse_into {
                 ($slot:ident) => {
-                    $slot = Some(value.parse().map_err(|_| {
-                        data_err(format!(
-                            "header line {line_no}: bad value for {key}: {value:?}"
-                        ))
-                    })?)
+                    $slot = Some(value.parse().map_err(|_| bad_value())?)
                 };
             }
             match key.as_str() {
@@ -572,43 +662,44 @@ impl RawHeader {
                 k if k.starts_with("alpha") => {
                     let t: usize = k["alpha".len()..]
                         .parse()
-                        .map_err(|_| data_err(format!("header line {line_no}: bad key {k:?}")))?;
-                    let a: f64 = value.parse().map_err(|_| {
-                        data_err(format!(
-                            "header line {line_no}: bad value for {k}: {value:?}"
-                        ))
-                    })?;
-                    alphas.push((t, a));
+                        .map_err(|_| at(format!("bad key {k:?}")))?;
+                    alphas.push((t, value.parse().map_err(|_| bad_value())?));
                 }
                 other => {
-                    return Err(data_err(format!(
-                        "header line {line_no}: unknown key {other:?}"
-                    )))
+                    if !extra(other, &value).map_err(at)? {
+                        return Err(at(format!("unknown key {other:?}")));
+                    }
                 }
             }
         }
-        let missing = |k: &str| data_err(format!("header.tsv missing {k}"));
+        let missing = |k: &str| data_err(format!("{file} missing {k}"));
         let n_topics = n_topics.ok_or_else(|| missing("n_topics"))?;
-        let alpha = topmine_lda::io::assemble_alpha(alphas, n_topics, "header.tsv")?;
+        let alpha = topmine_lda::io::assemble_alpha(alphas, n_topics, &file)?;
         Ok(Self {
-            n_topics,
-            vocab_size: vocab_size.ok_or_else(|| missing("vocab_size"))?,
-            n_docs: n_docs.ok_or_else(|| missing("n_docs"))?,
-            n_tokens: n_tokens.ok_or_else(|| missing("n_tokens"))?,
-            seg_alpha: seg_alpha.ok_or_else(|| missing("seg_alpha"))?,
-            beta: beta.ok_or_else(|| missing("beta"))?,
+            header: ModelHeader {
+                n_topics,
+                vocab_size: vocab_size.ok_or_else(|| missing("vocab_size"))?,
+                n_docs: n_docs.ok_or_else(|| missing("n_docs"))?,
+                n_tokens: n_tokens.ok_or_else(|| missing("n_tokens"))?,
+                seg_alpha: seg_alpha.ok_or_else(|| missing("seg_alpha"))?,
+                beta: beta.ok_or_else(|| missing("beta"))?,
+            },
+            preprocess: PreprocessConfig {
+                stem: stem.ok_or_else(|| missing("stem"))?,
+                remove_stopwords: remove_stopwords.ok_or_else(|| missing("remove_stopwords"))?,
+                min_token_len: min_token_len.ok_or_else(|| missing("min_token_len"))?,
+                stopwords: Vec::new(),
+            },
             min_support: min_support.ok_or_else(|| missing("min_support"))?,
-            stem: stem.ok_or_else(|| missing("stem"))?,
-            remove_stopwords: remove_stopwords.ok_or_else(|| missing("remove_stopwords"))?,
-            min_token_len: min_token_len.ok_or_else(|| missing("min_token_len"))?,
             alpha,
         })
     }
 }
 
-/// The monolithic backend: one in-memory bundle answering every part of
-/// the contract locally (`gather_phi` copies the trained columns, which is
-/// bit-exact by construction).
+/// The in-process backend: one in-memory model answering every part of
+/// the contract locally (the φ gather copies the trained columns, which is
+/// bit-exact by construction). It serves a sharded bundle too, once
+/// [`FrozenModel::load`] has put the shards back together.
 impl ModelBackend for FrozenModel {
     fn header(&self) -> &ModelHeader {
         &self.header
@@ -638,7 +729,11 @@ impl ModelBackend for FrozenModel {
         FrozenModel::segment(self, doc)
     }
 
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
+    fn try_gather_phi(
+        &self,
+        words: &[u32],
+        _opts: &GatherOptions,
+    ) -> Result<Vec<f64>, BackendError> {
         let k = self.header.n_topics;
         let n = words.len();
         let mut out = vec![0.0f64; k * n];
@@ -647,7 +742,7 @@ impl ModelBackend for FrozenModel {
                 out[t * n + j] = row[w as usize];
             }
         }
-        out
+        Ok(out)
     }
 
     fn display_word(&self, id: u32) -> &str {

@@ -12,14 +12,14 @@
 //!
 //! — Eq. 7's document side with the word side frozen.
 //!
-//! Inference runs against any [`ModelBackend`], monolithic or sharded, in
+//! Inference runs against any [`ModelBackend`], in-memory or fleet, in
 //! two phases:
 //!
-//! 1. **scatter-gather**: the document's tokens are remapped onto a dense
-//!    local word table and the φ columns they touch are gathered from
-//!    their owning shards ([`ModelBackend::gather_phi`]) into one
-//!    cache-friendly topic-major block — a plain copy for the monolithic
-//!    backend, a fan-out for the sharded one;
+//! 1. **gather**: the document's tokens are remapped onto a dense local
+//!    word table and the φ columns they touch are gathered
+//!    ([`ModelBackend::try_gather_phi`]) into one cache-friendly
+//!    topic-major block — a plain copy in memory, one frame per shard
+//!    through the fleet router;
 //! 2. **local Gibbs**: the fold-in sweeps run entirely against the
 //!    gathered block, touching no shard again.
 //!
@@ -220,7 +220,7 @@ fn assemble_inference(
 
 /// Infer topics for one unseen document against any backend with an
 /// explicit seed. This is the single fold-in implementation; the
-/// monolithic and sharded models (and the [`QueryEngine`]
+/// in-memory model, the fleet router (and the [`QueryEngine`]
 /// (crate::QueryEngine)) all route here.
 pub fn infer_doc(
     model: &dyn ModelBackend,
@@ -320,8 +320,8 @@ pub struct BatchItem {
 
 /// Fold in a batch of documents with **one** φ scatter-gather for the
 /// whole batch: the union of every document's distinct words is gathered
-/// once ([`ModelBackend::gather_phi_batch`] — a single fan-out on a
-/// sharded backend), then each document's chain runs against its slice of
+/// once ([`ModelBackend::try_gather_phi`] — a single fan-out through the
+/// fleet router), then each document's chain runs against its slice of
 /// the shared table.
 ///
 /// Bit-identical to calling [`infer_doc`] per document with the same
@@ -380,7 +380,7 @@ pub fn try_infer_docs_amortized(
     }
 
     let gather = metrics.stage(crate::metrics::Stage::PhiGather).span();
-    let phi = model.try_gather_phi_batch(&batch_distinct, gather_opts)?;
+    let phi = model.try_gather_phi(&batch_distinct, gather_opts)?;
     gather.stop();
     metrics.phi_columns_total.add(batch_distinct.len() as u64);
     metrics

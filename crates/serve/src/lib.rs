@@ -6,23 +6,24 @@
 //! three layers:
 //!
 //! * [`backend`] — the **seam**: [`ModelBackend`], the trait everything
-//!   below the HTTP layer talks to, so nothing assumes the model is one
-//!   in-memory bundle;
-//! * [`frozen`] — the **monolithic artifact**: [`FrozenModel`], an
-//!   immutable, versioned, single-directory bundle holding the
-//!   preprocessing contract (vocabulary, stemming, stop words), the phrase
-//!   lexicon as a prefix trie ([`PhraseTrie`]), and the topic model point
-//!   estimate (φ, α, β);
-//! * [`sharded`] — the **sharded artifact**: [`ShardedModel`], N
-//!   vocabulary-range shards (each its own vocab/lexicon/φ slice, loaded
-//!   from a `manifest.tsv` + `shard-K/` layout) composing a backend that
-//!   serves bit-identically to the monolith at every shard count;
+//!   below the HTTP layer talks to, implemented by the in-memory
+//!   [`FrozenModel`] and the fleet router [`RemoteShardedModel`];
+//! * [`frozen`] — the **model**: [`FrozenModel`], an immutable, versioned,
+//!   single-directory bundle holding the preprocessing contract
+//!   (vocabulary, stemming, stop words), the phrase lexicon as a prefix
+//!   trie ([`PhraseTrie`]), and the topic model point estimate (φ, α, β);
+//!   the one model a process holds in memory, whichever layout it was
+//!   loaded from;
+//! * [`sharded`] — the **fleet's on-disk layout**: [`ShardedModel`]
+//!   writes a model as N vocabulary-range shards (a `manifest.tsv` plus
+//!   one `shard-K/` vocab/lexicon/φ slice each); loading one without a
+//!   fleet puts the shards back together into one [`FrozenModel`];
 //! * [`infer`] — **fold-in inference**: segment unseen text with the
-//!   frozen lexicon (Algorithm 2 against the trie), scatter-gather the φ
-//!   columns the document touches from their owning shards, then run a
-//!   short fixed-φ Gibbs chain preserving the phrase-clique constraint
-//!   (Eq. 7) to get θ, topic rankings, and per-phrase topic annotations —
-//!   deterministic given a seed;
+//!   frozen lexicon (Algorithm 2 against the trie), gather the φ columns
+//!   the document touches, then run a short fixed-φ Gibbs chain
+//!   preserving the phrase-clique constraint (Eq. 7) to get θ, topic
+//!   rankings, and per-phrase topic annotations — deterministic given a
+//!   seed;
 //! * [`engine`] / [`cache`] / [`http`] — the **query engine and server**:
 //!   an `Arc<dyn ModelBackend>`-sharing thread pool for batched inference
 //!   with a bounded LRU response cache in front of single-document
@@ -37,7 +38,7 @@
 //!   documents (`/infer_batch`, or adjacent queued `/infer` requests) —
 //!   bit-identical to running each document alone;
 //! * [`wire`] / [`shard`] / [`pool`] / [`router`] — **fleet serving**:
-//!   the shards of a [`ShardedModel`] split across processes. A
+//!   a [`ShardedModel`] bundle served by separate processes. A
 //!   `topmine serve-shard` process loads one `shard-K/` φ slice
 //!   ([`ShardSlice`]) and answers a compact length-prefixed binary
 //!   protocol ([`wire`]); the router loads everything *except* φ and
@@ -104,6 +105,6 @@ pub use metrics::{serve_metrics, ServeMetrics, Stage};
 pub use pool::{PoolConfig, ShardClient, ShardHealth, WireStats};
 pub use router::{RemoteShardedModel, FLEET_MODEL_FORMAT};
 pub use shard::{ShardServer, ShardServerHandle, ShardSlice};
-pub use sharded::{ModelShard, ShardedModel, SHARDED_MODEL_FORMAT};
+pub use sharded::{ShardedModel, SHARDED_MODEL_FORMAT};
 pub use trie::PhraseTrie;
 pub use wire::{WireError, MAX_FRAME, WIRE_VERSION};

@@ -19,7 +19,7 @@ pub enum Stage {
     /// Response-cache probe (hit or miss) plus the insert on miss.
     CacheLookup,
     /// Gathering φ columns for the document's distinct words
-    /// (scatter-gather across shards when the bundle is sharded).
+    /// (one frame per shard through the fleet router).
     PhiGather,
     /// The fold-in Gibbs sweeps over the gathered columns.
     FoldIn,
@@ -72,7 +72,7 @@ pub struct ServeMetrics {
     pub infer_docs_total: Arc<Counter>,
     /// φ columns gathered for inference (distinct in-vocabulary words).
     pub phi_columns_total: Arc<Counter>,
-    /// Distribution of gathered column counts per sharded scatter-gather.
+    /// Distribution of gathered column counts per fleet router gather.
     pub sharded_gather_columns: Arc<Histogram>,
     /// Inference jobs currently waiting in the admission queue.
     pub admission_queue_depth: Arc<Gauge>,

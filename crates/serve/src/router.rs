@@ -3,31 +3,32 @@
 //!
 //! The split follows the parameter-server observation that only one part
 //! of a fitted model is big: φ. The router loads everything *else* from
-//! its own copy of the bundle — vocabulary, lexicon tries, display
-//! tables, hyperparameters — so `prepare`, `segment`, and response
-//! rendering stay local and bit-identical to the in-process backends, and
-//! exactly one operation crosses the wire: the φ gather.
+//! its own copy of the bundle — vocabulary, lexicon, display tables,
+//! hyperparameters — as a [`FrozenModel`] without φ, so `prepare`,
+//! `segment`, and response rendering stay local and bit-identical to the
+//! in-process model, and exactly one operation crosses the wire: the φ
+//! gather.
 //!
 //! That one operation is shaped for the network. A batch gather (the
 //! union of a whole dispatch batch's distinct words, PR 8) is grouped by
 //! owning shard and sent as **one `GatherPhiBatch` frame per shard**,
 //! pipelined over the per-shard pooled connection ([`ShardClient`]); the
 //! shard replies with the requested φ columns as raw `f64` bits and the
-//! router splices them into the dense topic-major table `gather_phi`
+//! router splices them into the dense topic-major table the gather
 //! promises. So the wire cost of serving a batch of B documents against S
 //! shards is ≤ S round-trips regardless of B — the comms analogue of the
 //! in-process batch amortization — and every value arrives bit-identical
 //! to the monolith's.
 //!
-//! Failures surface as [`BackendError`]s via the `try_` gather methods;
-//! the dispatcher maps them to 503/504 responses. Health and per-shard
-//! counters feed `/healthz` and `/metrics` through
-//! [`ModelBackend::fleet_status_json`] and the fleet metric families.
+//! Failures surface as [`BackendError`]s from
+//! [`ModelBackend::try_gather_phi`]; the dispatcher maps them to 503/504
+//! responses. Health and per-shard counters feed `/healthz` and `/metrics`
+//! through [`ModelBackend::fleet_status_json`] and the fleet metric
+//! families.
 
 use crate::backend::{BackendError, GatherOptions, ModelBackend};
-use crate::frozen::{ModelHeader, PreparedDoc, PreprocessConfig};
+use crate::frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
 use crate::pool::{ExpectedShard, PoolConfig, ShardClient, ShardHealth, WireStats};
-use crate::sharded::ShardedModel;
 use crate::wire::{self, Opcode};
 use std::io;
 use std::path::Path;
@@ -44,8 +45,11 @@ const HEALTH_PING_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A sharded model whose φ blocks live in remote shard processes.
 pub struct RemoteShardedModel {
-    /// Phi-less local view: vocabulary, lexicons, α, display tables.
-    local: ShardedModel,
+    /// Phi-less local view: vocabulary, lexicon, α, display tables.
+    local: FrozenModel,
+    /// Range starts plus the trailing `vocab_size`, length `n_shards + 1`;
+    /// shard `i` owns word ids `[boundaries[i], boundaries[i+1])`.
+    boundaries: Vec<u32>,
     clients: Vec<ShardClient>,
     stats: Arc<WireStats>,
 }
@@ -76,19 +80,18 @@ impl RemoteShardedModel {
     /// Like [`RemoteShardedModel::connect`], but without the startup
     /// health check — shards may come up after the router.
     pub fn connect_lazy(dir: &Path, addrs: &[String], config: PoolConfig) -> io::Result<Self> {
-        let local = ShardedModel::load_without_phi(dir)?;
-        if addrs.len() != local.n_shards() {
+        let (local, boundaries) = crate::sharded::load_sharded(dir, false)?;
+        let n_shards = boundaries.len() - 1;
+        if addrs.len() != n_shards {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "bundle has {} shards but {} fleet addresses were given",
-                    local.n_shards(),
+                    "bundle has {n_shards} shards but {} fleet addresses were given",
                     addrs.len()
                 ),
             ));
         }
         let digest = wire::manifest_digest(dir)?;
-        let boundaries = local.boundaries().to_vec();
         let n_topics = local.n_topics() as u32;
         let stats = Arc::new(WireStats::default());
         let clients = addrs
@@ -111,9 +114,15 @@ impl RemoteShardedModel {
             .collect();
         Ok(Self {
             local,
+            boundaries,
             clients,
             stats,
         })
+    }
+
+    /// Index of the shard owning word id `w`.
+    fn owner_index(&self, w: u32) -> usize {
+        self.boundaries.partition_point(|&b| b <= w) - 1
     }
 
     /// Whole-fleet wire traffic counters (what the throughput bench
@@ -133,15 +142,15 @@ impl RemoteShardedModel {
 
 impl ModelBackend for RemoteShardedModel {
     fn header(&self) -> &ModelHeader {
-        self.local.header()
+        &self.local.header
     }
 
     fn preprocess(&self) -> &PreprocessConfig {
-        self.local.preprocess()
+        &self.local.preprocess
     }
 
     fn alpha(&self) -> &[f64] {
-        self.local.alpha()
+        &self.local.alpha
     }
 
     fn format_tag(&self) -> &'static str {
@@ -149,11 +158,11 @@ impl ModelBackend for RemoteShardedModel {
     }
 
     fn n_shards(&self) -> usize {
-        self.local.n_shards()
+        self.clients.len()
     }
 
     fn n_lexicon_phrases(&self) -> usize {
-        self.local.n_lexicon_phrases()
+        self.local.lexicon.n_phrases()
     }
 
     fn prepare(&self, text: &str) -> PreparedDoc {
@@ -168,28 +177,12 @@ impl ModelBackend for RemoteShardedModel {
         self.local.display_word(id)
     }
 
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
-        // Infallible entry point kept for trait completeness; serving
-        // paths go through `try_gather_phi*` so shard failures become
-        // HTTP errors, not panics.
-        self.try_gather_phi(words, &GatherOptions::default())
-            .unwrap_or_else(|e| panic!("fleet phi gather failed: {e}"))
-    }
-
-    fn try_gather_phi(
-        &self,
-        words: &[u32],
-        opts: &GatherOptions,
-    ) -> Result<Vec<f64>, BackendError> {
-        self.try_gather_phi_batch(words, opts)
-    }
-
     /// One frame per owning shard, all shards in flight at once. The
-    /// response splice preserves `gather_phi`'s contract exactly: entry
-    /// `(t, j)` of the returned table is the trained `φ[t][words[j]]`,
+    /// response splice keeps the gather's contract exactly: entry `(t, j)`
+    /// of the returned table is the trained `φ[t][words[j]]`,
     /// bit-identical to the in-process gather (values cross the wire as
     /// raw `f64` bits and are never transformed).
-    fn try_gather_phi_batch(
+    fn try_gather_phi(
         &self,
         words: &[u32],
         opts: &GatherOptions,
@@ -203,8 +196,8 @@ impl ModelBackend for RemoteShardedModel {
             return Ok(Vec::new());
         }
         // Group requested columns by owning shard. Ids go out sorted per
-        // shard (the same run order the in-process batch gather uses);
-        // `cols` remembers where each answer lands in the output table.
+        // shard; `cols` remembers where each answer lands in the output
+        // table.
         let n_shards = self.clients.len();
         let mut ids: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
         let mut cols: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
@@ -212,7 +205,7 @@ impl ModelBackend for RemoteShardedModel {
         order.sort_unstable_by_key(|&j| words[j as usize]);
         for &j in &order {
             let w = words[j as usize];
-            let s = self.local.owner_index(w);
+            let s = self.owner_index(w);
             ids[s].push(w);
             cols[s].push(j as usize);
         }
@@ -288,6 +281,7 @@ mod tests {
     use super::*;
     use crate::frozen::tests::tiny_model;
     use crate::shard::{ShardServer, ShardServerHandle, ShardSlice};
+    use crate::sharded::ShardedModel;
 
     /// Save `model` sharded `n_shards` ways into a temp dir, spawn one
     /// in-process shard server per shard, and connect a router to them.
@@ -334,9 +328,11 @@ mod tests {
         let scrambled: Vec<u32> = (0..v).rev().chain(0..v / 2).collect();
         for words in [&all[..], &scrambled[..], &[0][..], &[][..]] {
             let remote = router
-                .try_gather_phi_batch(words, &GatherOptions::default())
+                .try_gather_phi(words, &GatherOptions::default())
                 .unwrap();
-            let local = ModelBackend::gather_phi(&model, words);
+            let local = model
+                .try_gather_phi(words, &GatherOptions::default())
+                .unwrap();
             assert_eq!(
                 remote.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 local.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

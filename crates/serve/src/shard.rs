@@ -55,38 +55,28 @@ impl ShardSlice {
     /// (for topology and the digest) plus that one shard's `phi.tsv`.
     /// Nothing else is read — a shard process's footprint is its φ slice.
     pub fn load(dir: &Path, index: usize) -> io::Result<Self> {
-        let manifest = RawManifest::load(&dir.join("manifest.tsv"))?;
-        if index >= manifest.n_shards {
+        let manifest = RawManifest::load(dir)?;
+        if index >= manifest.n_shards() {
             return Err(data_err(format!(
                 "shard index {index} out of range: bundle has {} shards",
-                manifest.n_shards
+                manifest.n_shards()
             )));
         }
-        let lo = manifest.shard_starts[index];
-        let hi = manifest
-            .shard_starts
-            .get(index + 1)
-            .copied()
-            .unwrap_or(manifest.vocab_size as u32);
-        if lo > hi {
-            return Err(data_err(format!(
-                "manifest.tsv: shard {index} range [{lo}, {hi}) is not ascending"
-            )));
-        }
+        let (lo, hi) = (manifest.boundaries[index], manifest.boundaries[index + 1]);
+        let n_topics = manifest.base.header.n_topics;
         let digest = wire::manifest_digest(dir)?;
         let phi = topmine_lda::io::load_phi(&dir.join(format!("shard-{index}")).join("phi.tsv"))?;
         let width = (hi - lo) as usize;
-        if phi.len() != manifest.n_topics || phi.iter().any(|row| row.len() != width) {
+        if phi.len() != n_topics || phi.iter().any(|row| row.len() != width) {
             return Err(data_err(format!(
-                "shard-{index}/phi.tsv is not {} x {width} as the manifest requires",
-                manifest.n_topics
+                "shard-{index}/phi.tsv is not {n_topics} x {width} as the manifest requires"
             )));
         }
         Ok(Self {
             index,
             lo,
             hi,
-            n_topics: manifest.n_topics,
+            n_topics,
             digest,
             phi,
         })
@@ -131,7 +121,7 @@ impl ShardSlice {
 
     /// Gather φ columns for owned global ids, topic-major (`n_topics × n`)
     /// — the same layout as
-    /// [`ModelBackend::gather_phi`](crate::ModelBackend::gather_phi), so
+    /// [`ModelBackend::try_gather_phi`](crate::ModelBackend::try_gather_phi), so
     /// the router splices shard answers without transposing. Ids outside
     /// `[lo, hi)` are a request error, not a panic.
     pub fn gather(&self, ids: &[u32]) -> Result<Vec<f64>, String> {

@@ -1,24 +1,24 @@
-//! The sharded frozen model: N vocabulary-range shards composing one
-//! logical [`FrozenModel`](crate::FrozenModel)-equivalent backend.
+//! The sharded bundle layout: the on-disk form a fitted model takes when a
+//! fleet serves it, split into N vocabulary-range shards.
 //!
 //! The partitioning follows the parameter-server cut used by distributed
 //! topic-model servers (LightLDA's vocabulary-sliced workers): the word-id
 //! space `[0, V)` is split into `N` contiguous ranges, and shard `i` owns
 //!
 //! * the **vocabulary slice** for its range (word strings and the unstem
-//!   display table), so term→id resolution scatters across shards;
+//!   display table);
 //! * the **lexicon slice**: every stored phrase whose *first* word falls
-//!   in the range, as its own [`PhraseTrie`] (all tries share the global
-//!   `L` and `ε`, so Eq. 1 significance is computed on identical numbers);
+//!   in the range (every slice carries the global `L` and `ε`);
 //! * the **φ slice**: the `n_topics × range_width` block of trained
 //!   topic-word columns.
 //!
-//! Because phrase ownership is determined by the first word, every count
-//! Algorithm 2 asks for lives wholly in one shard, and fold-in gathers
-//! each word's φ column from exactly one shard: inference through a
-//! [`ShardedModel`] is **bit-identical** to the monolithic bundle at every
-//! shard count (the proptest in `tests/sharded_equivalence.rs` is the
-//! acceptance bar).
+//! A `topmine serve-shard` process loads one φ slice
+//! ([`ShardSlice`](crate::ShardSlice)); the fleet router
+//! ([`RemoteShardedModel`](crate::RemoteShardedModel)) loads everything
+//! but φ. A process serving a sharded bundle from its own memory puts the
+//! shards back together into one [`FrozenModel`] ([`FrozenModel::load`]):
+//! every shard in one process's RAM buys nothing over the monolith, so no
+//! in-memory model is sharded.
 //!
 //! # On-disk layout
 //!
@@ -40,19 +40,16 @@
 //! the new count and the monolithic format's marker files, so a bundle
 //! directory always holds exactly one loadable model.
 
-use crate::backend::ModelBackend;
 use crate::frozen::{
-    bundle_header_pairs, load_lexicon, load_stopword_file, prepare_with, remove_if_present,
-    save_lexicon_file, FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig,
+    bundle_header_pairs, load_lexicon, load_stopword_file, read_unstem, read_vocab,
+    remove_if_present, save_id_table, save_lexicon_file, save_stopword_file, unstem_rows,
+    FrozenModel, RawHeader,
 };
-use crate::infer::{infer_doc, DocInference, InferConfig};
 use crate::trie::PhraseTrie;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io;
 use std::path::Path;
-use topmine_corpus::{Document, StopwordSet};
-use topmine_phrase::{PhraseConstructor, PhraseCounts};
-use topmine_util::FxHashMap;
+use topmine_corpus::Vocab;
+use topmine_phrase::PhraseCounts;
 
 /// Version tag on the first line of `manifest.tsv`.
 pub const SHARDED_MODEL_FORMAT: &str = "topmine-sharded-model/1";
@@ -61,288 +58,34 @@ fn data_err(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// One vocabulary-range shard: the slice of the model owned by word ids
-/// `[lo, hi)`.
+/// A frozen model cut into vocabulary-range shards, ready to be written in
+/// the sharded layout. It borrows the model: nothing is copied until
+/// [`ShardedModel::save`] writes the slices.
 #[derive(Debug, Clone)]
-pub struct ModelShard {
-    /// First owned word id.
-    pub lo: u32,
-    /// One past the last owned word id.
-    pub hi: u32,
-    /// Word strings, local index = global id − `lo`.
-    pub(crate) words: Vec<String>,
-    /// term → global id, the scatter target of vocabulary resolution.
-    pub(crate) term_ids: FxHashMap<String, u32>,
-    /// Display table slice (empty string = fall back to `words`); present
-    /// iff training stemmed.
-    pub(crate) unstem: Option<Vec<String>>,
-    /// Phrases whose first word is in `[lo, hi)`; shares the global `L`
-    /// and `ε` with every other shard.
-    pub lexicon: PhraseTrie,
-    /// φ block, `n_topics` rows × `hi − lo` columns (empty in a router's
-    /// phi-less local view — see [`ShardedModel::load_without_phi`]).
-    pub(crate) phi: Vec<Vec<f64>>,
-}
-
-impl ModelShard {
-    pub fn width(&self) -> usize {
-        (self.hi - self.lo) as usize
-    }
-}
-
-/// Structural equality over the persisted content (the derived `term_ids`
-/// index is a function of `words` and deliberately not compared).
-impl PartialEq for ModelShard {
-    fn eq(&self, other: &Self) -> bool {
-        self.lo == other.lo
-            && self.hi == other.hi
-            && self.words == other.words
-            && self.unstem == other.unstem
-            && self.lexicon == other.lexicon
-            && self.phi == other.phi
-    }
-}
-
-/// A fitted model partitioned into vocabulary-range shards.
-#[derive(Debug, Clone)]
-pub struct ShardedModel {
-    pub header: ModelHeader,
-    pub preprocess: PreprocessConfig,
-    alpha: Vec<f64>,
-    /// Membership set built from `preprocess.stopwords` (not persisted
-    /// separately).
-    stopword_set: StopwordSet,
-    /// Global `L` shared by every shard trie.
-    lexicon_total_tokens: u64,
-    /// Global ε shared by every shard trie.
-    min_support: u64,
-    /// Range starts, length `n_shards + 1`; `boundaries[0] == 0`, last
-    /// entry == `vocab_size`. Shard `i` owns `[boundaries[i],
-    /// boundaries[i+1])`.
+pub struct ShardedModel<'a> {
+    model: &'a FrozenModel,
+    /// Range starts plus the trailing `vocab_size`, length `n_shards + 1`;
+    /// shard `i` owns `[boundaries[i], boundaries[i+1])`.
     boundaries: Vec<u32>,
-    shards: Vec<ModelShard>,
 }
 
-impl PartialEq for ShardedModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.header == other.header
-            && self.preprocess == other.preprocess
-            && self.alpha == other.alpha
-            && self.lexicon_total_tokens == other.lexicon_total_tokens
-            && self.min_support == other.min_support
-            && self.boundaries == other.boundaries
-            && self.shards == other.shards
-    }
-}
-
-fn term_index(words: &[String], lo: u32) -> FxHashMap<String, u32> {
-    words
-        .iter()
-        .enumerate()
-        .map(|(i, w)| (w.clone(), lo + i as u32))
-        .collect()
-}
-
-impl ShardedModel {
-    /// Partition a monolithic model into `n_shards` contiguous
-    /// vocabulary ranges (near-equal widths; shards may be empty when
-    /// `n_shards > vocab_size`). The composition serves bit-identically to
-    /// the source model.
-    pub fn from_frozen(model: &FrozenModel, n_shards: usize) -> io::Result<Self> {
+impl<'a> ShardedModel<'a> {
+    /// Cut `model` into `n_shards` contiguous vocabulary ranges of
+    /// near-equal width (shards may be empty when `n_shards > vocab_size`).
+    pub fn from_frozen(model: &'a FrozenModel, n_shards: usize) -> io::Result<Self> {
         if n_shards == 0 {
             return Err(data_err("shard count must be at least 1".into()));
         }
         let v = model.vocab_size();
-        let k = model.n_topics();
-        let boundaries: Vec<u32> = (0..=n_shards).map(|i| (i * v / n_shards) as u32).collect();
-        let total_tokens = PhraseCounts::total_tokens(&model.lexicon);
-        let min_support = model.lexicon.min_support();
-        let mut shards: Vec<ModelShard> = boundaries
-            .windows(2)
-            .map(|w| {
-                let (lo, hi) = (w[0], w[1]);
-                let words: Vec<String> = (lo..hi)
-                    .map(|id| model.vocab.word(id).to_string())
-                    .collect();
-                ModelShard {
-                    lo,
-                    hi,
-                    term_ids: term_index(&words, lo),
-                    words,
-                    unstem: model
-                        .unstem
-                        .as_ref()
-                        .map(|u| u[lo as usize..hi as usize].to_vec()),
-                    lexicon: PhraseTrie::new(total_tokens, min_support),
-                    phi: model
-                        .phi
-                        .iter()
-                        .map(|row| row[lo as usize..hi as usize].to_vec())
-                        .collect(),
-                }
-            })
-            .collect();
-        debug_assert!(shards.iter().all(|s| s.phi.len() == k));
-        for (phrase, count) in model.lexicon.iter_phrases() {
-            let owner = boundaries.partition_point(|&b| b <= phrase[0]) - 1;
-            shards[owner].lexicon.insert(&phrase, count);
-        }
-        let sharded = Self {
-            header: model.header.clone(),
-            preprocess: model.preprocess.clone(),
-            alpha: model.alpha.clone(),
-            stopword_set: StopwordSet::from_words(
-                model.preprocess.stopwords.iter().map(String::as_str),
-            ),
-            lexicon_total_tokens: total_tokens,
-            min_support,
-            boundaries,
-            shards,
-        };
-        sharded.validate().map_err(data_err)?;
-        Ok(sharded)
-    }
-
-    /// The shard owning word id `w`. Panics on out-of-range ids (callers
-    /// hold ids produced by [`ShardedModel::prepare`], which are always in
-    /// range).
-    fn shard_of(&self, w: u32) -> &ModelShard {
-        &self.shards[self.owner_index(w)]
-    }
-
-    /// Index of the shard owning word id `w` (the router groups a batch
-    /// gather into one frame per owner).
-    pub(crate) fn owner_index(&self, w: u32) -> usize {
-        self.boundaries.partition_point(|&b| b <= w) - 1
-    }
-
-    /// Range starts plus the trailing `vocab_size`, length `n_shards + 1`.
-    pub(crate) fn boundaries(&self) -> &[u32] {
-        &self.boundaries
-    }
-
-    /// Resolve a normalized term to its global word id — the scatter side
-    /// of vocabulary lookup: each shard only knows its own slice, so the
-    /// query fans out and the unique hit (ids are disjoint) is gathered.
-    fn term_id(&self, term: &str) -> Option<u32> {
-        self.shards
-            .iter()
-            .find_map(|s| s.term_ids.get(term).copied())
-    }
-
-    pub fn n_topics(&self) -> usize {
-        self.header.n_topics
-    }
-
-    pub fn vocab_size(&self) -> usize {
-        self.header.vocab_size
+        Ok(Self {
+            model,
+            boundaries: (0..=n_shards).map(|i| (i * v / n_shards) as u32).collect(),
+        })
     }
 
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.boundaries.len() - 1
     }
-
-    pub fn shards(&self) -> &[ModelShard] {
-        &self.shards
-    }
-
-    /// Total stored phrases across all shard lexicons.
-    pub fn n_phrases(&self) -> usize {
-        self.shards.iter().map(|s| s.lexicon.n_phrases()).sum()
-    }
-
-    /// Structural invariants every loaded/assembled sharded model
-    /// satisfies.
-    pub fn validate(&self) -> Result<(), String> {
-        self.validate_with(true)
-    }
-
-    /// Like [`ShardedModel::validate`], but `with_phi = false` accepts the
-    /// router's phi-less local view (φ lives in remote shard processes;
-    /// every shard's block must then be absent, not merely misshapen).
-    pub(crate) fn validate_with(&self, with_phi: bool) -> Result<(), String> {
-        let h = &self.header;
-        let k = h.n_topics;
-        if self.shards.is_empty() {
-            return Err("sharded model has no shards".into());
-        }
-        if self.boundaries.len() != self.shards.len() + 1 {
-            return Err("boundary vector does not match shard count".into());
-        }
-        if self.boundaries[0] != 0 || *self.boundaries.last().unwrap() as usize != h.vocab_size {
-            return Err(format!(
-                "shard ranges must cover [0, {}), got {:?}",
-                h.vocab_size, self.boundaries
-            ));
-        }
-        if self.boundaries.windows(2).any(|w| w[0] > w[1]) {
-            return Err(format!(
-                "shard ranges must be ascending: {:?}",
-                self.boundaries
-            ));
-        }
-        for (i, s) in self.shards.iter().enumerate() {
-            if (s.lo, s.hi) != (self.boundaries[i], self.boundaries[i + 1]) {
-                return Err(format!("shard {i} range disagrees with the manifest"));
-            }
-            if s.words.len() != s.width() {
-                return Err(format!(
-                    "shard {i} has {} words for a range of width {}",
-                    s.words.len(),
-                    s.width()
-                ));
-            }
-            if with_phi {
-                if s.phi.len() != k || s.phi.iter().any(|row| row.len() != s.width()) {
-                    return Err(format!(
-                        "shard {i} φ block is not {k} × {} as the manifest requires",
-                        s.width()
-                    ));
-                }
-            } else if !s.phi.is_empty() {
-                return Err(format!("shard {i} carries φ in a phi-less view"));
-            }
-            if let Some(u) = &s.unstem {
-                if u.len() != s.width() {
-                    return Err(format!("shard {i} unstem table length mismatch"));
-                }
-            }
-            if s.unstem.is_some() != self.shards[0].unstem.is_some() {
-                return Err("shards disagree on unstem table presence".into());
-            }
-            if PhraseCounts::total_tokens(&s.lexicon) != self.lexicon_total_tokens
-                || s.lexicon.min_support() != self.min_support
-            {
-                return Err(format!(
-                    "shard {i} lexicon disagrees on total tokens or min support"
-                ));
-            }
-        }
-        if self.alpha.len() != k {
-            return Err(format!(
-                "alpha has {} entries, header says {k} topics",
-                self.alpha.len()
-            ));
-        }
-        let positive = |x: f64| x > 0.0;
-        if !self.alpha.iter().copied().all(positive) || !positive(h.beta) {
-            return Err("hyperparameters must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// Infer topics for one unseen document with the configured seed.
-    pub fn infer(&self, text: &str, config: &InferConfig) -> DocInference {
-        infer_doc(self, text, config, config.seed)
-    }
-
-    /// Infer with an explicit seed (batch entry points pass
-    /// [`InferConfig::seed_for_index`]).
-    pub fn infer_seeded(&self, text: &str, config: &InferConfig, seed: u64) -> DocInference {
-        infer_doc(self, text, config, seed)
-    }
-
-    // ----- persistence ------------------------------------------------------
 
     /// Write the sharded bundle into `dir` (created if needed). Stale
     /// `shard-K/` directories beyond the new shard count and the
@@ -350,19 +93,17 @@ impl ShardedModel {
     /// different shard count (or over a monolithic bundle) leaves exactly
     /// this model on disk.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
+        let m = self.model;
         std::fs::create_dir_all(dir)?;
-        let stopwords_path = dir.join("stopwords.txt");
-        if self.preprocess.stopwords.is_empty() {
-            remove_if_present(&stopwords_path)?;
-        } else {
-            let mut out = BufWriter::new(File::create(&stopwords_path)?);
-            for w in &self.preprocess.stopwords {
-                writeln!(out, "{w}")?;
-            }
-            out.flush()?;
-        }
+        save_stopword_file(&dir.join("stopwords.txt"), &m.preprocess.stopwords)?;
 
-        for (i, shard) in self.shards.iter().enumerate() {
+        let total_tokens = PhraseCounts::total_tokens(&m.lexicon);
+        // Canonical order sorts phrases by first word, so each shard's
+        // phrases are one contiguous run.
+        let phrases = m.lexicon.iter_phrases();
+        let mut rest = &phrases[..];
+        for (i, w) in self.boundaries.windows(2).enumerate() {
+            let (lo, hi) = (w[0], w[1]);
             let shard_dir = dir.join(format!("shard-{i}"));
             // Recreate from scratch so no stale file inside the shard
             // directory (an old unstem.tsv, say) survives as meaning.
@@ -370,23 +111,39 @@ impl ShardedModel {
                 std::fs::remove_dir_all(&shard_dir)?;
             }
             std::fs::create_dir_all(&shard_dir)?;
-            shard.save(&shard_dir)?;
+            save_id_table(
+                &shard_dir.join("vocab.tsv"),
+                (lo..hi).map(|id| (id, m.vocab.word(id))),
+            )?;
+            if let Some(unstem) = &m.unstem {
+                save_id_table(&shard_dir.join("unstem.tsv"), unstem_rows(unstem, lo, hi))?;
+            }
+            let (own, tail) = rest.split_at(rest.partition_point(|(p, _)| p[0] < hi));
+            rest = tail;
+            save_lexicon_file(&shard_dir.join("lexicon.tsv"), total_tokens, own)?;
+            let phi: Vec<Vec<f64>> = m
+                .phi
+                .iter()
+                .map(|row| row[lo as usize..hi as usize].to_vec())
+                .collect();
+            topmine_lda::io::save_phi_matrix(&phi, &shard_dir.join("phi.tsv"))?;
         }
 
         // The manifest is the commit point: it goes down only after every
         // shard directory is complete, so a mid-save failure over a
         // monolithic bundle never shadows the still-loadable old model
-        // (manifest.tsv is what `load_bundle` keys the format on). It is
-        // the shared bundle header plus the shard topology.
-        let mut pairs = vec![("n_shards".to_string(), self.shards.len().to_string())];
+        // (manifest.tsv is what the loader keys the layout on). It is the
+        // shared bundle header plus the shard topology.
+        let n_shards = self.n_shards();
+        let mut pairs = vec![("n_shards".to_string(), n_shards.to_string())];
         pairs.extend(bundle_header_pairs(
-            &self.header,
-            &self.preprocess,
-            self.min_support,
-            &self.alpha,
+            &m.header,
+            &m.preprocess,
+            m.lexicon.min_support(),
+            &m.alpha,
         ));
-        for (i, s) in self.shards.iter().enumerate() {
-            pairs.push((format!("shard{i}_start"), s.lo.to_string()));
+        for (i, lo) in self.boundaries[..n_shards].iter().enumerate() {
+            pairs.push((format!("shard{i}_start"), lo.to_string()));
         }
         topmine_lda::io::save_versioned_kv(&dir.join("manifest.tsv"), SHARDED_MODEL_FORMAT, pairs)?;
 
@@ -395,7 +152,7 @@ impl ShardedModel {
         // reads exactly 0..n_shards), as are the monolithic format's files
         // (manifest.tsv wins detection; `FrozenModel::save` removes
         // manifest.tsv in the other direction).
-        remove_stale_shards(dir, self.shards.len())?;
+        remove_stale_shards(dir, n_shards)?;
         for stale in [
             "header.tsv",
             "vocab.tsv",
@@ -406,93 +163,6 @@ impl ShardedModel {
             remove_if_present(&dir.join(stale))?;
         }
         Ok(())
-    }
-
-    /// Load a bundle written by [`ShardedModel::save`]. The manifest's
-    /// format line is checked first; every other failure (missing file,
-    /// bad number, shape mismatch) is an `io::Error` naming the file.
-    pub fn load(dir: &Path) -> io::Result<Self> {
-        Self::load_with(dir, true)
-    }
-
-    /// Load everything *except* φ — the router's local view. Vocabulary,
-    /// lexicons, and display tables are small; φ is the bulk of the bundle
-    /// and stays in the shard processes that own it.
-    pub(crate) fn load_without_phi(dir: &Path) -> io::Result<Self> {
-        Self::load_with(dir, false)
-    }
-
-    fn load_with(dir: &Path, load_phi: bool) -> io::Result<Self> {
-        let manifest = RawManifest::load(&dir.join("manifest.tsv"))?;
-        let stopwords = load_stopword_file(&dir.join("stopwords.txt"))?;
-        let mut boundaries = manifest.shard_starts.clone();
-        boundaries.push(manifest.vocab_size as u32);
-        // Ranges must be checked before shard loading sizes anything by
-        // `hi - lo` (a corrupt manifest must be an error, not an underflow).
-        if boundaries.windows(2).any(|w| w[0] > w[1]) {
-            return Err(data_err(format!(
-                "manifest.tsv: shard ranges must ascend to vocab_size {}: {boundaries:?}",
-                manifest.vocab_size
-            )));
-        }
-        let mut shards = Vec::with_capacity(manifest.n_shards);
-        for (i, w) in boundaries.windows(2).enumerate() {
-            shards.push(load_shard(
-                &dir.join(format!("shard-{i}")),
-                w[0],
-                w[1],
-                manifest.min_support,
-                load_phi,
-            )?);
-        }
-        let model = Self {
-            header: ModelHeader {
-                n_topics: manifest.n_topics,
-                vocab_size: manifest.vocab_size,
-                n_docs: manifest.n_docs,
-                n_tokens: manifest.n_tokens,
-                seg_alpha: manifest.seg_alpha,
-                beta: manifest.beta,
-            },
-            stopword_set: StopwordSet::from_words(stopwords.iter().map(String::as_str)),
-            preprocess: PreprocessConfig {
-                stem: manifest.stem,
-                remove_stopwords: manifest.remove_stopwords,
-                min_token_len: manifest.min_token_len,
-                stopwords,
-            },
-            alpha: manifest.alpha,
-            lexicon_total_tokens: shards
-                .first()
-                .map(|s: &ModelShard| PhraseCounts::total_tokens(&s.lexicon))
-                .unwrap_or(0),
-            min_support: manifest.min_support,
-            boundaries,
-            shards,
-        };
-        model.validate_with(load_phi).map_err(data_err)?;
-        Ok(model)
-    }
-}
-
-impl ModelShard {
-    fn save(&self, dir: &Path) -> io::Result<()> {
-        let mut out = BufWriter::new(File::create(dir.join("vocab.tsv"))?);
-        for (i, word) in self.words.iter().enumerate() {
-            writeln!(out, "{}\t{word}", self.lo + i as u32)?;
-        }
-        out.flush()?;
-        if let Some(unstem) = &self.unstem {
-            let mut out = BufWriter::new(File::create(dir.join("unstem.tsv"))?);
-            for (i, surface) in unstem.iter().enumerate() {
-                if !surface.is_empty() {
-                    writeln!(out, "{}\t{surface}", self.lo + i as u32)?;
-                }
-            }
-            out.flush()?;
-        }
-        save_lexicon_file(&self.lexicon, &dir.join("lexicon.tsv"))?;
-        topmine_lda::io::save_phi_matrix(&self.phi, &dir.join("phi.tsv"))
     }
 }
 
@@ -522,346 +192,148 @@ pub(crate) fn remove_stale_shards(dir: &Path, keep: usize) -> io::Result<()> {
     Ok(())
 }
 
-fn load_shard(
-    dir: &Path,
-    lo: u32,
-    hi: u32,
-    min_support: u64,
-    load_phi: bool,
-) -> io::Result<ModelShard> {
-    let name = dir
-        .file_name()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let width = (hi - lo) as usize;
-    let mut words = Vec::with_capacity(width);
-    let reader = BufReader::new(File::open(dir.join("vocab.tsv"))?);
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
+/// Read a sharded bundle back into one [`FrozenModel`], returned with the
+/// shard boundaries. `with_phi = false` skips every φ block: the fleet
+/// router's local view, whose φ lives in the shard processes.
+pub(crate) fn load_sharded(dir: &Path, with_phi: bool) -> io::Result<(FrozenModel, Vec<u32>)> {
+    let RawManifest { base, boundaries } = RawManifest::load(dir)?;
+    let k = base.header.n_topics;
+    let mut vocab = Vocab::new();
+    let mut unstem = dir
+        .join("shard-0")
+        .join("unstem.tsv")
+        .exists()
+        .then(Vec::new);
+    let mut lexicon: Option<PhraseTrie> = None;
+    let mut phi: Vec<Vec<f64>> = Vec::new();
+    for (i, w) in boundaries.windows(2).enumerate() {
+        let (lo, hi) = (w[0], w[1]);
+        let shard = format!("shard-{i}");
+        read_vocab(&mut vocab, dir, &format!("{shard}/vocab.tsv"), lo, hi)?;
+        let unstem_name = format!("{shard}/unstem.tsv");
+        match (&mut unstem, dir.join(&unstem_name).exists()) {
+            (Some(table), true) => {
+                table.resize(hi as usize, String::new());
+                read_unstem(table, dir, &unstem_name, lo, hi)?;
+            }
+            (None, false) => {}
+            _ => {
+                return Err(data_err(format!(
+                    "{shard} disagrees with shard-0 on unstem table presence"
+                )))
+            }
         }
-        let (id_str, word) = line
-            .split_once('\t')
-            .ok_or_else(|| data_err(format!("{name}/vocab.tsv line {}: not id<TAB>word", i + 1)))?;
-        let id: u32 = id_str.parse().map_err(|_| {
-            data_err(format!(
-                "{name}/vocab.tsv line {}: bad id {id_str:?}",
-                i + 1
-            ))
-        })?;
-        if id != lo + words.len() as u32 {
+
+        let part = load_lexicon(&dir.join(&shard).join("lexicon.tsv"), base.min_support)?;
+        let total_tokens = PhraseCounts::total_tokens(&part);
+        let merged = lexicon.get_or_insert_with(|| PhraseTrie::new(total_tokens, base.min_support));
+        if total_tokens != PhraseCounts::total_tokens(merged) {
             return Err(data_err(format!(
-                "{name}/vocab.tsv line {}: id {id} out of order (expected {})",
-                i + 1,
-                lo + words.len() as u32
+                "{shard}/lexicon.tsv disagrees with shard-0 on total tokens"
             )));
         }
-        words.push(word.to_string());
-    }
-    if words.len() != width {
-        return Err(data_err(format!(
-            "{name}/vocab.tsv has {} words for a range of width {width}",
-            words.len()
-        )));
-    }
-    let unstem_path = dir.join("unstem.tsv");
-    let unstem = if unstem_path.exists() {
-        let mut table = vec![String::new(); width];
-        let reader = BufReader::new(File::open(&unstem_path)?);
-        for (i, line) in reader.lines().enumerate() {
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let (id_str, surface) = line.split_once('\t').ok_or_else(|| {
-                data_err(format!(
-                    "{name}/unstem.tsv line {}: not id<TAB>surface",
-                    i + 1
-                ))
-            })?;
-            let id: u32 = id_str.parse().map_err(|_| {
-                data_err(format!(
-                    "{name}/unstem.tsv line {}: bad id {id_str:?}",
-                    i + 1
-                ))
-            })?;
-            if id < lo || id >= hi {
+        for (phrase, count) in part.iter_phrases() {
+            if phrase[0] < lo || phrase[0] >= hi {
                 return Err(data_err(format!(
-                    "{name}/unstem.tsv line {}: id {id} outside shard range [{lo}, {hi})",
-                    i + 1
+                    "{shard}/lexicon.tsv holds a phrase starting at word {} outside [{lo}, {hi})",
+                    phrase[0]
                 )));
             }
-            table[(id - lo) as usize] = surface.to_string();
+            merged.insert(&phrase, count);
         }
-        Some(table)
-    } else {
-        None
-    };
-    let lexicon = load_lexicon(&dir.join("lexicon.tsv"), min_support)?;
-    let phi = if load_phi {
-        topmine_lda::io::load_phi(&dir.join("phi.tsv"))?
-    } else {
-        Vec::new()
-    };
-    Ok(ModelShard {
-        lo,
-        hi,
-        term_ids: term_index(&words, lo),
-        words,
+
+        if with_phi {
+            let block = topmine_lda::io::load_phi(&dir.join(&shard).join("phi.tsv"))?;
+            let width = (hi - lo) as usize;
+            if block.len() != k || block.iter().any(|row| row.len() != width) {
+                return Err(data_err(format!(
+                    "{shard}/phi.tsv is not {k} × {width} as the manifest requires"
+                )));
+            }
+            if i == 0 {
+                phi = block;
+            } else {
+                for (row, columns) in phi.iter_mut().zip(block) {
+                    row.extend(columns);
+                }
+            }
+        }
+    }
+    let mut preprocess = base.preprocess;
+    preprocess.stopwords = load_stopword_file(&dir.join("stopwords.txt"))?;
+    let lexicon = lexicon.unwrap_or_else(|| PhraseTrie::new(0, base.min_support));
+    let model = FrozenModel::from_parts_unchecked(
+        base.header,
+        preprocess,
+        vocab,
         unstem,
         lexicon,
         phi,
-    })
+        base.alpha,
+    );
+    model.validate_with(with_phi).map_err(data_err)?;
+    Ok((model, boundaries))
 }
 
-/// Parsed `manifest.tsv` before assembly. `pub(crate)` because a shard
-/// process ([`crate::shard::ShardSlice`]) reads the manifest for topology
-/// and hyperparameters without assembling a full model.
+/// Parsed `manifest.tsv`: the shared bundle header plus the shard
+/// topology. `pub(crate)` because a shard process
+/// ([`crate::shard::ShardSlice`]) reads it for its range and topic count
+/// without assembling a model.
 pub(crate) struct RawManifest {
-    pub(crate) n_shards: usize,
-    pub(crate) n_topics: usize,
-    pub(crate) vocab_size: usize,
-    pub(crate) n_docs: usize,
-    pub(crate) n_tokens: u64,
-    pub(crate) seg_alpha: f64,
-    pub(crate) beta: f64,
-    pub(crate) min_support: u64,
-    pub(crate) stem: bool,
-    pub(crate) remove_stopwords: bool,
-    pub(crate) min_token_len: usize,
-    pub(crate) alpha: Vec<f64>,
-    /// `shard{i}_start` values, dense and ascending, length `n_shards`.
-    pub(crate) shard_starts: Vec<u32>,
+    pub(crate) base: RawHeader,
+    /// Range starts plus the trailing `vocab_size`, ascending, length
+    /// `n_shards + 1`.
+    pub(crate) boundaries: Vec<u32>,
 }
 
 impl RawManifest {
-    pub(crate) fn load(path: &Path) -> io::Result<Self> {
-        let pairs = topmine_lda::io::read_versioned_kv(path, SHARDED_MODEL_FORMAT)?;
-        let mut n_shards = None;
-        let mut n_topics = None;
-        let mut vocab_size = None;
-        let mut n_docs = None;
-        let mut n_tokens = None;
-        let mut seg_alpha = None;
-        let mut beta = None;
-        let mut min_support = None;
-        let mut stem = None;
-        let mut remove_stopwords = None;
-        let mut min_token_len = None;
-        let mut alphas: Vec<(usize, f64)> = Vec::new();
+    pub(crate) fn load(dir: &Path) -> io::Result<Self> {
+        let mut n_shards: Option<usize> = None;
         let mut starts: Vec<(usize, u32)> = Vec::new();
-        for (line_no, key, value) in pairs {
-            macro_rules! parse_into {
-                ($slot:ident) => {
-                    $slot = Some(value.parse().map_err(|_| {
-                        data_err(format!(
-                            "manifest line {line_no}: bad value for {key}: {value:?}"
-                        ))
-                    })?)
-                };
-            }
-            match key.as_str() {
-                "n_shards" => parse_into!(n_shards),
-                "n_topics" => parse_into!(n_topics),
-                "vocab_size" => parse_into!(vocab_size),
-                "n_docs" => parse_into!(n_docs),
-                "n_tokens" => parse_into!(n_tokens),
-                "seg_alpha" => parse_into!(seg_alpha),
-                "beta" => parse_into!(beta),
-                "min_support" => parse_into!(min_support),
-                "stem" => parse_into!(stem),
-                "remove_stopwords" => parse_into!(remove_stopwords),
-                "min_token_len" => parse_into!(min_token_len),
-                k if k.starts_with("alpha") => {
-                    let t: usize = k["alpha".len()..]
-                        .parse()
-                        .map_err(|_| data_err(format!("manifest line {line_no}: bad key {k:?}")))?;
-                    let a: f64 = value.parse().map_err(|_| {
-                        data_err(format!(
-                            "manifest line {line_no}: bad value for {k}: {value:?}"
-                        ))
-                    })?;
-                    alphas.push((t, a));
+        let base = RawHeader::load(
+            &dir.join("manifest.tsv"),
+            SHARDED_MODEL_FORMAT,
+            |key, value| {
+                let bad_value = || format!("bad value for {key}: {value:?}");
+                if key == "n_shards" {
+                    n_shards = Some(value.parse().map_err(|_| bad_value())?);
+                } else if let Some(i) = key
+                    .strip_prefix("shard")
+                    .and_then(|k| k.strip_suffix("_start"))
+                {
+                    let i = i.parse().map_err(|_| format!("bad key {key:?}"))?;
+                    starts.push((i, value.parse().map_err(|_| bad_value())?));
+                } else {
+                    return Ok(false);
                 }
-                k if k.starts_with("shard") && k.ends_with("_start") => {
-                    let i: usize = k["shard".len()..k.len() - "_start".len()]
-                        .parse()
-                        .map_err(|_| data_err(format!("manifest line {line_no}: bad key {k:?}")))?;
-                    let lo: u32 = value.parse().map_err(|_| {
-                        data_err(format!(
-                            "manifest line {line_no}: bad value for {k}: {value:?}"
-                        ))
-                    })?;
-                    starts.push((i, lo));
-                }
-                other => {
-                    return Err(data_err(format!(
-                        "manifest line {line_no}: unknown key {other:?}"
-                    )))
-                }
-            }
-        }
-        let missing = |k: &str| data_err(format!("manifest.tsv missing {k}"));
-        let n_shards = n_shards.ok_or_else(|| missing("n_shards"))?;
-        let n_topics = n_topics.ok_or_else(|| missing("n_topics"))?;
-        let alpha = topmine_lda::io::assemble_alpha(alphas, n_topics, "manifest.tsv")?;
+                Ok(true)
+            },
+        )?;
+        let n_shards = n_shards.ok_or_else(|| data_err("manifest.tsv missing n_shards".into()))?;
         starts.sort_by_key(|&(i, _)| i);
         if starts.len() != n_shards || starts.iter().enumerate().any(|(i, &(j, _))| i != j) {
             return Err(data_err(format!(
                 "manifest.tsv shard starts are not dense 0..{n_shards}"
             )));
         }
-        let shard_starts: Vec<u32> = starts.into_iter().map(|(_, lo)| lo).collect();
-        if shard_starts.first() != Some(&0) {
+        let mut boundaries: Vec<u32> = starts.into_iter().map(|(_, lo)| lo).collect();
+        if boundaries.first() != Some(&0) {
             return Err(data_err("manifest.tsv: shard0_start must be 0".into()));
         }
-        Ok(Self {
-            n_shards,
-            n_topics,
-            vocab_size: vocab_size.ok_or_else(|| missing("vocab_size"))?,
-            n_docs: n_docs.ok_or_else(|| missing("n_docs"))?,
-            n_tokens: n_tokens.ok_or_else(|| missing("n_tokens"))?,
-            seg_alpha: seg_alpha.ok_or_else(|| missing("seg_alpha"))?,
-            beta: beta.ok_or_else(|| missing("beta"))?,
-            min_support: min_support.ok_or_else(|| missing("min_support"))?,
-            stem: stem.ok_or_else(|| missing("stem"))?,
-            remove_stopwords: remove_stopwords.ok_or_else(|| missing("remove_stopwords"))?,
-            min_token_len: min_token_len.ok_or_else(|| missing("min_token_len"))?,
-            alpha,
-            shard_starts,
-        })
-    }
-}
-
-/// Algorithm 2's count oracle, routed: a phrase lives wholly in the shard
-/// owning its first word, so every lookup is one shard-local trie probe.
-impl PhraseCounts for ShardedModel {
-    fn count(&self, phrase: &[u32]) -> u64 {
-        match phrase.first() {
-            Some(&w) if (w as usize) < self.header.vocab_size => {
-                self.shard_of(w).lexicon.count(phrase)
-            }
-            _ => 0,
+        let vocab_size = base.header.vocab_size;
+        boundaries.push(vocab_size as u32);
+        // Ranges must be checked before anything is sized by `hi - lo` (a
+        // corrupt manifest must be an error, not an underflow).
+        if boundaries.windows(2).any(|w| w[0] > w[1]) {
+            return Err(data_err(format!(
+                "manifest.tsv: shard ranges must ascend to vocab_size {vocab_size}: {boundaries:?}"
+            )));
         }
+        Ok(Self { base, boundaries })
     }
 
-    fn total_tokens(&self) -> u64 {
-        self.lexicon_total_tokens
-    }
-
-    /// `left` and `merged` share a first word, so their owner is resolved
-    /// once; only `right` may scatter to a different shard.
-    fn merge_counts(&self, left: &[u32], right: &[u32], merged: &[u32]) -> (u64, u64, u64) {
-        let (f1, f12) = match left.first() {
-            Some(&w) if (w as usize) < self.header.vocab_size => {
-                let owner = &self.shard_of(w).lexicon;
-                (owner.count(left), owner.count(merged))
-            }
-            _ => (0, 0),
-        };
-        (f1, self.count(right), f12)
-    }
-}
-
-impl ModelBackend for ShardedModel {
-    fn header(&self) -> &ModelHeader {
-        &self.header
-    }
-
-    fn preprocess(&self) -> &PreprocessConfig {
-        &self.preprocess
-    }
-
-    fn alpha(&self) -> &[f64] {
-        &self.alpha
-    }
-
-    fn format_tag(&self) -> &'static str {
-        SHARDED_MODEL_FORMAT
-    }
-
-    fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn n_lexicon_phrases(&self) -> usize {
-        self.n_phrases()
-    }
-
-    fn prepare(&self, text: &str) -> PreparedDoc {
-        prepare_with(
-            &self.preprocess,
-            &self.stopword_set,
-            |term| self.term_id(term),
-            text,
-        )
-    }
-
-    fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
-        PhraseConstructor::new(self.header.seg_alpha).construct_doc(doc, self)
-    }
-
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
-        crate::metrics::serve_metrics()
-            .sharded_gather_columns
-            .record(words.len() as u64);
-        let k = self.header.n_topics;
-        let n = words.len();
-        let mut out = vec![0.0f64; k * n];
-        for (j, &w) in words.iter().enumerate() {
-            let shard = self.shard_of(w);
-            let local = (w - shard.lo) as usize;
-            for (t, row) in shard.phi.iter().enumerate() {
-                out[t * n + j] = row[local];
-            }
-        }
-        out
-    }
-
-    /// One fan-out per batch: columns are grouped by owning shard so each
-    /// shard's φ block is visited once per dispatch (the access pattern a
-    /// networked shard would serve as a single RPC), instead of paying a
-    /// `shard_of` binary search per word per document. Pure reorganization
-    /// of the copy loop — the gathered values are the exact bytes
-    /// [`gather_phi`](ModelBackend::gather_phi) returns.
-    fn gather_phi_batch(&self, words: &[u32]) -> Vec<f64> {
-        crate::metrics::serve_metrics()
-            .sharded_gather_columns
-            .record(words.len() as u64);
-        let k = self.header.n_topics;
-        let n = words.len();
-        let mut out = vec![0.0f64; k * n];
-        // Destination columns sorted by word id make shard runs contiguous.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&j| words[j as usize]);
-        let mut start = 0;
-        while start < n {
-            let shard = self.shard_of(words[order[start] as usize]);
-            let mut end = start + 1;
-            while end < n && words[order[end] as usize] < shard.hi {
-                end += 1;
-            }
-            let run = &order[start..end];
-            for (t, row) in shard.phi.iter().enumerate() {
-                let dst = &mut out[t * n..(t + 1) * n];
-                for &j in run {
-                    let w = words[j as usize];
-                    dst[j as usize] = row[(w - shard.lo) as usize];
-                }
-            }
-            start = end;
-        }
-        out
-    }
-
-    fn display_word(&self, id: u32) -> &str {
-        let shard = self.shard_of(id);
-        let local = (id - shard.lo) as usize;
-        match &shard.unstem {
-            Some(table) if !table[local].is_empty() => &table[local],
-            _ => &shard.words[local],
-        }
+    pub(crate) fn n_shards(&self) -> usize {
+        self.boundaries.len() - 1
     }
 }
 
@@ -878,82 +350,90 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn from_frozen_partitions_everything_exactly_once() {
-        let m = tiny_model();
-        for n in [1usize, 2, 3, 7, 64] {
-            let sharded = ShardedModel::from_frozen(&m, n).unwrap();
-            assert_eq!(sharded.n_shards(), n);
-            assert_eq!(sharded.n_phrases(), m.lexicon.n_phrases());
-            let total_words: usize = sharded.shards().iter().map(ModelShard::width).sum();
-            assert_eq!(total_words, m.vocab_size());
-            // Every count the monolithic trie knows is routed correctly.
-            for (phrase, count) in m.lexicon.iter_phrases() {
-                assert_eq!(PhraseCounts::count(&sharded, &phrase), count);
-            }
-            assert_eq!(
-                PhraseCounts::total_tokens(&sharded),
-                PhraseCounts::total_tokens(&m.lexicon)
-            );
-            // φ gathers reproduce the trained columns bit-for-bit.
-            let words: Vec<u32> = (0..m.vocab_size() as u32).collect();
-            let gathered = ModelBackend::gather_phi(&sharded, &words);
-            for t in 0..m.n_topics() {
-                for (j, &w) in words.iter().enumerate() {
-                    assert_eq!(gathered[t * words.len() + j], m.phi[t][w as usize]);
-                }
-            }
-            // Display falls back identically.
-            for w in 0..m.vocab_size() as u32 {
-                assert_eq!(ModelBackend::display_word(&sharded, w), m.display_word(w));
-            }
-        }
-        assert!(ShardedModel::from_frozen(&m, 0).is_err());
+    /// Every persisted field of `b` equals `a`'s (φ compared bit for bit).
+    fn assert_same_model(a: &FrozenModel, b: &FrozenModel) {
+        assert_eq!(a.header, b.header);
+        assert_eq!(a.preprocess, b.preprocess);
+        assert_eq!(
+            a.vocab.iter().collect::<Vec<_>>(),
+            b.vocab.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(a.unstem, b.unstem);
+        assert_eq!(a.lexicon, b.lexicon);
+        let bits = |m: &FrozenModel| -> Vec<Vec<u64>> {
+            m.phi
+                .iter()
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.alpha, b.alpha);
     }
 
     #[test]
-    fn batch_gather_matches_per_word_gather_bitwise() {
+    fn from_frozen_partitions_everything_exactly_once() {
         let m = tiny_model();
-        let v = m.vocab_size() as u32;
-        for n in [1usize, 2, 3, 7] {
+        let dir = tmpdir("partition");
+        for n in [1usize, 2, 3, 7, 64] {
             let sharded = ShardedModel::from_frozen(&m, n).unwrap();
-            // Unsorted, shard-straddling, and duplicate-free-but-unordered
-            // word lists: the grouped traversal must scatter every column
-            // back to its original position.
-            let cases: Vec<Vec<u32>> = vec![
-                vec![],
-                vec![v - 1],
-                (0..v).rev().collect(),
-                (0..v).step_by(2).chain((1..v).step_by(3)).collect(),
-            ];
-            for words in cases {
-                assert_eq!(
-                    ModelBackend::gather_phi_batch(&sharded, &words),
-                    ModelBackend::gather_phi(&sharded, &words),
-                );
+            assert_eq!(sharded.n_shards(), n);
+            sharded.save(&dir).unwrap();
+            // Each shard's lexicon holds exactly the phrases starting in its
+            // range; together they hold every phrase once.
+            let mut n_phrases = 0;
+            for (i, w) in sharded.boundaries.windows(2).enumerate() {
+                let part = load_lexicon(
+                    &dir.join(format!("shard-{i}")).join("lexicon.tsv"),
+                    m.lexicon.min_support(),
+                )
+                .unwrap();
+                assert!(part
+                    .iter_phrases()
+                    .iter()
+                    .all(|(p, _)| (w[0]..w[1]).contains(&p[0])));
+                n_phrases += part.n_phrases();
             }
+            assert_eq!(n_phrases, m.lexicon.n_phrases());
+            let (loaded, boundaries) = load_sharded(&dir, true).unwrap();
+            assert_eq!(boundaries, sharded.boundaries);
+            assert_same_model(&m, &loaded);
         }
+        assert!(ShardedModel::from_frozen(&m, 0).is_err());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn prepare_and_segment_match_the_monolith() {
         let m = tiny_model();
-        let sharded = ShardedModel::from_frozen(&m, 3).unwrap();
+        let dir = tmpdir("prepare");
+        ShardedModel::from_frozen(&m, 3)
+            .unwrap()
+            .save(&dir)
+            .unwrap();
+        let loaded = FrozenModel::load(&dir).unwrap();
         let text = "The support vector machines, for the data streams! quux";
         let a = m.prepare(text);
-        let b = ModelBackend::prepare(&sharded, text);
+        let b = loaded.prepare(text);
         assert_eq!(a.doc.tokens, b.doc.tokens);
         assert_eq!(a.n_oov, b.n_oov);
-        assert_eq!(m.segment(&a.doc), ModelBackend::segment(&sharded, &b.doc));
+        assert_eq!(m.segment(&a.doc), loaded.segment(&b.doc));
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn save_load_roundtrip_is_exact() {
         let dir = tmpdir("roundtrip");
-        let sharded = ShardedModel::from_frozen(&tiny_model(), 3).unwrap();
-        sharded.save(&dir).unwrap();
-        let loaded = ShardedModel::load(&dir).unwrap();
-        assert_eq!(loaded, sharded);
+        let m = tiny_model();
+        ShardedModel::from_frozen(&m, 3)
+            .unwrap()
+            .save(&dir)
+            .unwrap();
+        assert_same_model(&m, &FrozenModel::load(&dir).unwrap());
+        // The router's view is the same model without φ.
+        let (view, boundaries) = load_sharded(&dir, false).unwrap();
+        assert!(view.phi.is_empty());
+        assert_eq!(view.lexicon, m.lexicon);
+        assert_eq!(boundaries.len(), 4);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -975,7 +455,9 @@ mod tests {
                 "shard-{stale} must be cleaned up"
             );
         }
-        assert_eq!(ShardedModel::load(&dir).unwrap(), two);
+        let (loaded, boundaries) = load_sharded(&dir, true).unwrap();
+        assert_eq!(boundaries, two.boundaries);
+        assert_same_model(&m, &loaded);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1001,7 +483,8 @@ mod tests {
     #[test]
     fn version_mismatch_and_corruption_are_clean_errors() {
         let dir = tmpdir("corrupt");
-        let sharded = ShardedModel::from_frozen(&tiny_model(), 2).unwrap();
+        let m = tiny_model();
+        let sharded = ShardedModel::from_frozen(&m, 2).unwrap();
         sharded.save(&dir).unwrap();
         let manifest = dir.join("manifest.tsv");
         let body = std::fs::read_to_string(&manifest).unwrap();
@@ -1010,27 +493,32 @@ mod tests {
             body.replace(SHARDED_MODEL_FORMAT, "topmine-sharded-model/99"),
         )
         .unwrap();
-        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        let err = FrozenModel::load(&dir).unwrap_err().to_string();
         assert!(err.contains("topmine-sharded-model/99"), "{err}");
         assert!(err.contains(SHARDED_MODEL_FORMAT), "{err}");
         sharded.save(&dir).unwrap();
         std::fs::remove_dir_all(dir.join("shard-1")).unwrap();
-        assert!(ShardedModel::load(&dir).is_err());
+        assert!(FrozenModel::load(&dir).is_err());
         // Non-ascending ranges (vocab_size edited below a shard start) must
         // be a clean error before any shard sizes a buffer by `hi - lo`.
         sharded.save(&dir).unwrap();
         let body = std::fs::read_to_string(&manifest).unwrap();
-        let vocab_size = sharded.vocab_size();
+        let vocab_size = m.vocab_size();
         std::fs::write(
             &manifest,
             body.replace(&format!("vocab_size\t{vocab_size}"), "vocab_size\t1"),
         )
         .unwrap();
-        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        let err = FrozenModel::load(&dir).unwrap_err().to_string();
         assert!(err.contains("ascend"), "{err}");
         sharded.save(&dir).unwrap();
         std::fs::write(dir.join("shard-0").join("phi.tsv"), "topic\tw0\n0\tnope\n").unwrap();
-        assert!(ShardedModel::load(&dir).is_err());
+        assert!(FrozenModel::load(&dir).is_err());
+        // A broken table names its file and line.
+        sharded.save(&dir).unwrap();
+        std::fs::write(dir.join("shard-1").join("vocab.tsv"), "x\tword\n").unwrap();
+        let err = FrozenModel::load(&dir).unwrap_err().to_string();
+        assert!(err.contains("shard-1/vocab.tsv line 1"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

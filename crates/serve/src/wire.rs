@@ -377,7 +377,7 @@ pub fn decode_gather(payload: &[u8]) -> Result<Vec<u32>, WireError> {
 
 /// Serialize a φ block response: `n` then `n_topics × n` values as raw
 /// `f64` bits, topic-major — exactly the layout
-/// [`ModelBackend::gather_phi`](crate::ModelBackend::gather_phi) returns,
+/// [`ModelBackend::try_gather_phi`](crate::ModelBackend::try_gather_phi) returns,
 /// so the router splices shard responses without transposing.
 pub fn encode_phi_block(n_words: usize, values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 8 * values.len());

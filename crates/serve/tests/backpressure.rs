@@ -16,8 +16,8 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions, Document};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    FrozenModel, HttpServer, ModelBackend, ModelHeader, PreparedDoc, PreprocessConfig, QueryEngine,
-    ServerConfig,
+    BackendError, FrozenModel, GatherOptions, HttpServer, ModelBackend, ModelHeader, PreparedDoc,
+    PreprocessConfig, QueryEngine, ServerConfig,
 };
 
 fn fitted_model() -> FrozenModel {
@@ -122,13 +122,13 @@ impl ModelBackend for GatedBackend {
     fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
         ModelBackend::segment(self.inner.as_ref(), doc)
     }
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
+    fn try_gather_phi(
+        &self,
+        words: &[u32],
+        opts: &GatherOptions,
+    ) -> Result<Vec<f64>, BackendError> {
         self.arrive_and_wait();
-        self.inner.gather_phi(words)
-    }
-    fn gather_phi_batch(&self, words: &[u32]) -> Vec<f64> {
-        self.arrive_and_wait();
-        self.inner.gather_phi_batch(words)
+        self.inner.try_gather_phi(words, opts)
     }
     fn display_word(&self, id: u32) -> &str {
         self.inner.display_word(id)

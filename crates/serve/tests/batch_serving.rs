@@ -7,6 +7,8 @@
 //! deadline path (`504`), and byte-parity between the epoll event loop
 //! and the blocking fallback front end.
 
+mod fleet_common;
+
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,9 +17,9 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions, Document};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    batch_inference_json, infer_doc, inference_json, FrontEnd, FrozenModel, HttpServer,
-    InferConfig, ModelBackend, ModelHeader, PreparedDoc, PreprocessConfig, QueryEngine,
-    ServerConfig, ShardedModel,
+    batch_inference_json, infer_doc, inference_json, BackendError, FrontEnd, FrozenModel,
+    GatherOptions, HttpServer, InferConfig, ModelBackend, ModelHeader, PreparedDoc,
+    PreprocessConfig, QueryEngine, ServerConfig,
 };
 
 fn fitted_model() -> &'static FrozenModel {
@@ -86,8 +88,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any (shard count, batch composition, seed, iters): the amortized
-    /// batch path returns exactly what N sequential single-document
-    /// inferences with per-index seeds return — at every batch size and
+    /// batch path through the fleet router — one gather frame per shard
+    /// for the whole batch — returns exactly what N sequential
+    /// single-document inferences with per-index seeds return, through the
+    /// router and through the in-memory model, at every batch size and
     /// every shard count.
     #[test]
     fn amortized_batch_equals_sequential_inference(
@@ -98,17 +102,30 @@ proptest! {
     ) {
         let shards = [1usize, 2, 3, 7][shard_idx];
         let frozen = fitted_model();
-        let sharded = ShardedModel::from_frozen(frozen, shards).unwrap();
+        let (router, handles, dir) = fleet_common::fleet("batch", frozen, shards);
+        let router: Arc<dyn ModelBackend> = Arc::new(router);
         let cfg = InferConfig { fold_iters, seed, top_topics: 3 };
         let docs: Vec<&str> = doc_idx.iter().map(|&i| DOC_POOL[i]).collect();
         // No response cache: every document must take the amortized path.
-        let engine = QueryEngine::with_cache_capacity(Arc::new(sharded.clone()), 1, 0);
+        let engine = QueryEngine::with_cache_capacity(Arc::clone(&router), 1, 0);
         let batched = engine.infer_batch_amortized(&docs, &cfg);
-        prop_assert_eq!(batched.len(), docs.len());
-        for (i, doc) in docs.iter().enumerate() {
-            let alone = infer_doc(&sharded, doc, &cfg, cfg.seed_for_index(i));
-            prop_assert_eq!(&batched[i], &alone);
+        let seeds = (0..docs.len()).map(|i| cfg.seed_for_index(i));
+        let alone: Vec<_> = docs
+            .iter()
+            .zip(seeds.clone())
+            .map(|(doc, s)| infer_doc(router.as_ref(), doc, &cfg, s))
+            .collect();
+        let in_memory: Vec<_> = docs
+            .iter()
+            .zip(seeds)
+            .map(|(doc, s)| infer_doc(frozen, doc, &cfg, s))
+            .collect();
+        for handle in handles {
+            handle.shutdown();
         }
+        let _ = std::fs::remove_dir_all(dir);
+        prop_assert_eq!(&batched, &alone);
+        prop_assert_eq!(&alone, &in_memory);
     }
 }
 
@@ -116,8 +133,7 @@ proptest! {
 
 #[test]
 fn infer_batch_endpoint_is_byte_identical_to_sequential_infers() {
-    let frozen = fitted_model();
-    let backend = Arc::new(ShardedModel::from_frozen(frozen, 3).unwrap());
+    let backend = Arc::new(fitted_model().clone());
     let engine = Arc::new(QueryEngine::new(backend.clone(), 1));
     let server = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
         .expect("bind")
@@ -314,13 +330,13 @@ impl ModelBackend for GatedBackend {
     fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
         ModelBackend::segment(self.inner.as_ref(), doc)
     }
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
+    fn try_gather_phi(
+        &self,
+        words: &[u32],
+        opts: &GatherOptions,
+    ) -> Result<Vec<f64>, BackendError> {
         self.arrive_and_wait();
-        self.inner.gather_phi(words)
-    }
-    fn gather_phi_batch(&self, words: &[u32]) -> Vec<f64> {
-        self.arrive_and_wait();
-        self.inner.gather_phi_batch(words)
+        self.inner.try_gather_phi(words, opts)
     }
     fn display_word(&self, id: u32) -> &str {
         self.inner.display_word(id)
@@ -377,10 +393,31 @@ fn requests_queued_past_their_deadline_get_504() {
 
 // ----- front-end parity: event loop ≡ blocking -----------------------------
 
+/// Send `body` to `head`, then half-close the connection (shut down the
+/// write side) before reading; returns the response's status line.
+fn half_closed_request(addr: std::net::SocketAddr, head: &str, body: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let message = format!(
+        "{head} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(message.as_bytes()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("read the response to a half-closed request");
+    response.lines().next().unwrap_or_default().to_string()
+}
+
 #[test]
 fn blocking_front_end_serves_byte_identical_responses() {
     let frozen = fitted_model();
-    let servers: Vec<_> = [FrontEnd::EventLoop, FrontEnd::Blocking]
+    let front_ends = [FrontEnd::EventLoop, FrontEnd::Blocking];
+    let servers: Vec<_> = front_ends
         .into_iter()
         .map(|front_end| {
             let engine = Arc::new(QueryEngine::new(Arc::new(frozen.clone()), 1));
@@ -414,6 +451,15 @@ fn blocking_front_end_serves_byte_identical_responses() {
         assert_eq!(
             responses[0], responses[1],
             "front ends diverged on {head:?}"
+        );
+    }
+    // A client that half-closes right after sending its request still
+    // gets the full answer from each front end.
+    for (front_end, server) in front_ends.iter().zip(&servers) {
+        assert_eq!(
+            half_closed_request(server.addr(), "POST /infer?seed=42&iters=25", doc),
+            "HTTP/1.1 200 OK",
+            "{front_end:?} front end on a half-closed connection"
         );
     }
     for server in servers {

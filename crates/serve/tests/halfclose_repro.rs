@@ -1,5 +1,6 @@
-//! Temporary review repro: does the event loop answer a request whose
-//! client half-closed (shutdown write) right after sending it?
+//! Half-closed clients: a client that shuts down its write side right
+//! after sending a request must still get the full answer, and the epoll
+//! event loop must answer it exactly as the blocking front end does.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -68,4 +69,5 @@ fn half_close_blocking_vs_event_loop() {
     let event_loop = half_close_request(FrontEnd::EventLoop);
     println!("event loop front end: {event_loop:?}");
     assert_eq!(blocking, event_loop, "front ends diverge on half-close");
+    assert_eq!(blocking.as_deref(), Some("HTTP/1.1 200 OK"));
 }

@@ -2,8 +2,9 @@
 //!
 //! Fits a small ToPMine model on surface text, freezes it into a
 //! single-directory bundle (what `topmine --save-model` writes), reloads
-//! it, and answers queries two ways: through the in-process
-//! `QueryEngine`, and over HTTP against a `topmine_serve::HttpServer`
+//! it, and answers queries three ways: through the in-process
+//! `QueryEngine`, from the same model saved in the fleet's sharded layout
+//! and loaded back, and over HTTP against a `topmine_serve::HttpServer`
 //! bound to an ephemeral port (what `topmine serve` runs).
 //!
 //! Run: `cargo run --release --example serving`
@@ -12,7 +13,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use topmine_repro::corpus::{CorpusBuilder, CorpusOptions};
 use topmine_repro::serve::{
-    FrozenModel, HttpServer, InferConfig, QueryEngine, ServerConfig, ShardedModel,
+    load_bundle, FrozenModel, HttpServer, InferConfig, QueryEngine, ServerConfig, ShardedModel,
 };
 use topmine_repro::synth::{generator, Profile};
 use topmine_repro::topmine::{ToPMine, ToPMineConfig};
@@ -56,7 +57,6 @@ fn main() {
     );
 
     // --- in-process inference ----------------------------------------------
-    let sharded = ShardedModel::from_frozen(&loaded, 3).expect("shard bundle");
     let engine = Arc::new(QueryEngine::new(Arc::new(loaded), 2));
     let query = &texts[0];
     let inference = engine.infer(query, &InferConfig::default());
@@ -66,17 +66,23 @@ fn main() {
         println!("  phrase {:?} -> topic {}", p.text, p.topic);
     }
 
-    // --- the same answer from a sharded backend ------------------------------
-    // Partition the bundle into vocabulary-range shards (what
-    // `topmine --save-model dir --shards 3` writes): inference
-    // scatter-gathers over the shards and is bit-identical to the monolith.
-    let sharded_engine = QueryEngine::new(Arc::new(sharded), 2);
+    // --- the same answer from a sharded bundle -------------------------------
+    // Save the model as vocabulary-range shards (what
+    // `topmine --save-model dir --shards 3` writes for a serve-shard
+    // fleet). Loaded without a fleet, the shards are put back together
+    // into one in-memory model that answers bit-identically.
+    let sharded_dir = bundle.join("sharded");
+    ShardedModel::from_frozen(&frozen, 3)
+        .and_then(|sharded| sharded.save(&sharded_dir))
+        .expect("save sharded bundle");
+    let sharded_engine =
+        QueryEngine::new(load_bundle(&sharded_dir).expect("load sharded bundle"), 2);
     let sharded_inference = sharded_engine.infer(query, &InferConfig::default());
     assert_eq!(
         sharded_inference, inference,
-        "sharded inference must be bit-identical"
+        "sharded bundle inference must be bit-identical"
     );
-    println!("  sharded backend (3 shards): bit-identical answer");
+    println!("  sharded bundle (3 shards, loaded in memory): bit-identical answer");
 
     // --- the same answer over HTTP ------------------------------------------
     let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())

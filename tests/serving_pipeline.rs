@@ -3,7 +3,9 @@
 //! topics.
 
 use std::sync::Arc;
-use topmine_repro::serve::{load_bundle, FrozenModel, InferConfig, QueryEngine, ShardedModel};
+use topmine_repro::serve::{
+    load_bundle, FrozenModel, InferConfig, QueryEngine, ShardedModel, FROZEN_MODEL_FORMAT,
+};
 use topmine_repro::topmine::{ToPMine, ToPMineConfig};
 
 #[test]
@@ -47,13 +49,17 @@ fn fitted_pipeline_freezes_and_answers_queries() {
     assert_eq!(inference.theta.len(), synth.n_topics);
     assert!(!inference.phrases.is_empty());
 
-    // Shard the same fitted model, round-trip it through the sharded
-    // bundle layout, and serve through the auto-detecting loader: the
-    // answer must be bit-identical to the monolithic engine's.
-    let sharded = ShardedModel::from_frozen(&frozen, 3).unwrap();
-    sharded.save(&dir).unwrap();
+    // Save the same fitted model in the fleet's sharded layout and serve
+    // it through the auto-detecting loader, which puts the shards back
+    // together into one in-memory model: the answer must be bit-identical
+    // to the monolithic engine's.
+    ShardedModel::from_frozen(&frozen, 3)
+        .unwrap()
+        .save(&dir)
+        .unwrap();
     let backend = load_bundle(&dir).unwrap();
-    assert_eq!(backend.n_shards(), 3);
+    assert_eq!(backend.n_shards(), 1);
+    assert_eq!(backend.format_tag(), FROZEN_MODEL_FORMAT);
     let sharded_engine = QueryEngine::new(backend, 2);
     assert_eq!(
         sharded_engine.infer(&text, &InferConfig::default()),
