@@ -4,8 +4,11 @@
 //! Fits a ToPMine model on a synthetic DBLP-titles corpus, freezes it, and
 //! drives batched fold-in inference through `topmine_serve::QueryEngine`
 //! with 1, 2, 4, ... workers; every run is checked bit-identical against
-//! the single-worker run. The smoke-scale run writes a `BENCH_serve.json`
-//! snapshot to the working directory for CI trending.
+//! the single-worker run. Workers fold the engine's 1024-document chunks
+//! in parallel, so the worker count only changes the time once the
+//! workload (2000 documents at scale 1) spans more than one chunk. The
+//! smoke-scale run writes a `BENCH_serve.json` snapshot to the working
+//! directory for CI trending.
 //!
 //! Besides batch throughput, a closed-loop single-document pass (cache
 //! disabled, so every request pays full fold-in) records per-request
@@ -15,16 +18,12 @@
 //!
 //! Two more sections exercise the batched serving path:
 //!
-//! * **batch_amortization** — the amortized batch kernel
-//!   (`infer_batch_amortized`: one φ gather shared by the whole batch)
-//!   against the same documents folded in one at a time, min-of-5
-//!   interleaved timing, results asserted bit-identical. Set
-//!   `TOPMINE_MIN_BATCH_SPEEDUP` to gate the ratio in CI.
-//! * **open_loop** — the real HTTP server driven at a fixed offered rate
-//!   (requests fired on an absolute schedule, late or not), reporting
-//!   achieved vs offered QPS and latency measured from the *scheduled*
-//!   send time — the open-loop convention, so queueing delay is not
-//!   hidden by a slow client.
+//! * **batch_amortization** — the batch fold-in
+//!   (`try_infer_docs_amortized`: one φ gather shared by the whole tiled
+//!   set) against the same documents folded in one at a time
+//!   (`infer_doc`: one gather per document), min-of-5 interleaved timing,
+//!   results asserted bit-identical. Set `TOPMINE_MIN_BATCH_SPEEDUP` to
+//!   gate the ratio in CI.
 //! * **fleet** — the multi-process serving claim at the comms level: a
 //!   `RemoteShardedModel` router gathering φ from `FLEET_SHARDS` shard
 //!   servers over loopback TCP (one batched frame per shard, persistent
@@ -35,15 +34,14 @@
 //!   (with a small absolute-gap floor so loopback noise on a tiny run
 //!   cannot fail CI).
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::io::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use topmine_bench::{banner, fit_topmine_on_profile, iters, scale, seed_for};
 use topmine_obs::Histogram;
 use topmine_serve::{
-    infer_doc, HttpServer, InferConfig, ModelBackend, PoolConfig, QueryEngine, RemoteShardedModel,
-    ServerConfig, ShardServer, ShardSlice, ShardedModel,
+    infer_doc, try_infer_docs_amortized, BatchItem, GatherOptions, InferConfig, ModelBackend,
+    PoolConfig, QueryEngine, RemoteShardedModel, ShardServer, ShardSlice, ShardedModel,
 };
 use topmine_synth::Profile;
 use topmine_util::Table;
@@ -165,7 +163,6 @@ fn main() {
         .take(2048.max(queries.len()))
         .map(String::as_str)
         .collect();
-    let amortized_engine = QueryEngine::with_cache_capacity(backend.clone(), 1, 0);
     let (mut per_doc_secs, mut batched_secs) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
         let start = std::time::Instant::now();
@@ -183,8 +180,20 @@ fn main() {
             .collect();
         per_doc_secs = per_doc_secs.min(start.elapsed().as_secs_f64());
 
+        // One shared gather over the whole tiled set, called directly: the
+        // engine's `infer_batch` would cut it into `MAX_BATCH_DOCS` chunks.
         let start = std::time::Instant::now();
-        let batched = amortized_engine.infer_batch_amortized(&batch_docs, &batch_cfg);
+        let items: Vec<BatchItem> = batch_docs
+            .iter()
+            .enumerate()
+            .map(|(i, doc)| BatchItem {
+                text: doc.to_string(),
+                config: batch_cfg.clone(),
+                seed: batch_cfg.seed_for_index(i),
+            })
+            .collect();
+        let batched = try_infer_docs_amortized(backend.as_ref(), &items, &GatherOptions::default())
+            .expect("in-memory gather cannot fail");
         batched_secs = batched_secs.min(start.elapsed().as_secs_f64());
 
         assert_eq!(
@@ -260,14 +269,14 @@ fn main() {
     const FLEET_ROUNDS: usize = 3;
     let (mut mono_secs, mut fleet_secs) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..FLEET_ROUNDS {
-        // The amortized batch path is the one the claim is about: ONE
-        // gather — one frame per shard — shared by the whole batch.
+        // The batch path is the one the claim is about: ONE gather — one
+        // frame per shard — shared by each `MAX_BATCH_DOCS`-document chunk.
         let start = std::time::Instant::now();
-        let mono_out = mono_fleet_engine.infer_batch_amortized(&queries, &config);
+        let mono_out = mono_fleet_engine.infer_batch(&queries, &config);
         mono_secs = mono_secs.min(start.elapsed().as_secs_f64());
 
         let start = std::time::Instant::now();
-        let fleet_out = fleet_engine.infer_batch_amortized(&queries, &config);
+        let fleet_out = fleet_engine.infer_batch(&queries, &config);
         fleet_secs = fleet_secs.min(start.elapsed().as_secs_f64());
 
         assert_eq!(
@@ -355,24 +364,6 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&fleet_dir);
 
-    // Open-loop load against the real HTTP server: offer a fixed fraction
-    // of the measured closed-loop capacity and fire every request on its
-    // absolute schedule slot whether or not earlier ones have returned.
-    let closed_loop_rps = 1000.0 / mean_ms;
-    let open = run_open_loop(backend.clone(), &queries, &config, 0.6 * closed_loop_rps);
-    println!(
-        "open loop: offered {:.1} rps, achieved {:.1} rps over {} requests — \
-         mean {:.3}ms  p50 {:.3}ms  p95 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
-        open.target_qps,
-        open.achieved_qps,
-        open.requests,
-        open.mean_ms,
-        open.p50_ms,
-        open.p95_ms,
-        open.p99_ms,
-        open.max_ms
-    );
-
     // JSON snapshot for CI trending.
     let mut json = String::from("{");
     json.push_str(&format!(
@@ -422,125 +413,8 @@ fn main() {
         fleet_snap.mean() * to_ms,
         fleet_snap.p95() as f64 * to_ms
     ));
-    json.push_str("},\"open_loop\":{");
-    json.push_str(&format!(
-        "\"target_qps\":{:.2},\"achieved_qps\":{:.2},\"requests\":{},\
-         \"mean\":{:.4},\"p50\":{:.4},\"p95\":{:.4},\"p99\":{:.4},\"max\":{:.4}",
-        open.target_qps,
-        open.achieved_qps,
-        open.requests,
-        open.mean_ms,
-        open.p50_ms,
-        open.p95_ms,
-        open.p99_ms,
-        open.max_ms
-    ));
     json.push_str("}}");
     let mut file = std::fs::File::create("BENCH_serve.json").expect("create BENCH_serve.json");
     writeln!(file, "{json}").expect("write BENCH_serve.json");
     println!("snapshot written to BENCH_serve.json");
-}
-
-struct OpenLoopStats {
-    target_qps: f64,
-    achieved_qps: f64,
-    requests: usize,
-    mean_ms: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    max_ms: f64,
-}
-
-/// One raw HTTP/1.1 `/infer` request against `addr`; panics on a non-200.
-fn http_infer(addr: std::net::SocketAddr, body: &str) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let message = format!(
-        "POST /infer HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(message.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    assert!(
-        response.starts_with("HTTP/1.1 200"),
-        "open-loop request failed: {}",
-        response.lines().next().unwrap_or("")
-    );
-}
-
-/// Drive the real HTTP server at `target_qps`: request `i` is fired at
-/// absolute slot `t0 + i/target_qps` (sleeping only if early), and its
-/// latency is measured **from the slot**, so server-side queueing under
-/// overload shows up instead of silently throttling the client.
-fn run_open_loop(
-    backend: Arc<dyn ModelBackend>,
-    queries: &[String],
-    config: &InferConfig,
-    target_qps: f64,
-) -> OpenLoopStats {
-    // Cache off so every request costs a real fold-in; a couple of
-    // dispatcher workers so batch coalescing has someone to feed.
-    let engine = Arc::new(QueryEngine::with_cache_capacity(backend, 1, 0));
-    let server = HttpServer::bind(
-        "127.0.0.1:0",
-        engine,
-        ServerConfig {
-            n_threads: 2,
-            infer_defaults: config.clone(),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind open-loop server")
-    .spawn()
-    .expect("spawn open-loop server");
-    let addr = server.addr();
-
-    let n_requests = queries.len().min(300);
-    let n_clients = 4usize;
-    let interval = std::time::Duration::from_secs_f64(1.0 / target_qps.max(1.0));
-    let hist = Arc::new(Histogram::new());
-    let t0 = std::time::Instant::now();
-    let clients: Vec<_> = (0..n_clients)
-        .map(|c| {
-            let hist = Arc::clone(&hist);
-            let docs: Vec<(usize, String)> = queries
-                .iter()
-                .take(n_requests)
-                .enumerate()
-                .filter(|(i, _)| i % n_clients == c)
-                .map(|(i, q)| (i, q.clone()))
-                .collect();
-            std::thread::spawn(move || {
-                for (i, doc) in docs {
-                    let slot = t0 + interval * (i as u32);
-                    if let Some(early) = slot.checked_duration_since(std::time::Instant::now()) {
-                        std::thread::sleep(early);
-                    }
-                    http_infer(addr, &doc);
-                    // Latency from the schedule slot: waiting in the
-                    // admission queue (or behind a slow dispatch) counts.
-                    hist.record_duration(slot.elapsed());
-                }
-            })
-        })
-        .collect();
-    for client in clients {
-        client.join().expect("open-loop client");
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    server.shutdown();
-
-    let snap = hist.snapshot();
-    let to_ms = 1e-6;
-    OpenLoopStats {
-        target_qps,
-        achieved_qps: n_requests as f64 / elapsed,
-        requests: n_requests,
-        mean_ms: snap.mean() * to_ms,
-        p50_ms: snap.p50() as f64 * to_ms,
-        p95_ms: snap.p95() as f64 * to_ms,
-        p99_ms: snap.p99() as f64 * to_ms,
-        max_ms: snap.max() as f64 * to_ms,
-    }
 }

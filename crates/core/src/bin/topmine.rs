@@ -170,8 +170,9 @@ fn run_serve(opts: &ServeOptions) -> Result<(), String> {
         model.header().n_docs
     );
     // Concurrency comes from the server's dispatcher workers (batches of
-    // queued requests, coalesced); the engine's own batch pool would sit
-    // idle behind HTTP, so keep it at one worker.
+    // queued requests, coalesced); the engine's `n_threads` only spreads
+    // the chunks of one in-process `infer_batch` call, which HTTP never
+    // makes, so it stays at one.
     let engine = Arc::new(QueryEngine::new(model, 1));
     let server = HttpServer::bind(
         (opts.host.as_str(), opts.port),
@@ -228,7 +229,9 @@ fn run_serve_shard(opts: &ServeShardOptions) -> Result<(), String> {
 
 fn run_infer(opts: &InferOptions) -> Result<(), String> {
     let model = load_model(&opts.model_dir)?;
-    let engine = QueryEngine::new(model, opts.n_threads);
+    // No response cache: line `i` draws `seed_for_index(i)`, so no two
+    // lines of one run share a cache key.
+    let engine = QueryEngine::with_cache_capacity(model, opts.n_threads, 0);
     let text =
         std::fs::read_to_string(&opts.input).map_err(|e| format!("reading {}: {e}", opts.input))?;
     let docs: Vec<&str> = text.lines().collect();

@@ -167,7 +167,8 @@ INFER OPTIONS:
     --model DIR           bundle from --save-model, monolithic or
                           sharded (required)
     --input FILE          documents to infer, one per line (required)
-    --threads N           inference worker threads      [default: 1]
+    --threads N           threads folding in the input's 1024-document
+                          chunks in parallel            [default: 1]
     --iters N             fold-in sweeps                [default: 20]
     --seed N              RNG seed                      [default: 1]
     --top N               top topics reported           [default: 3]

@@ -8,10 +8,6 @@ use crate::cooccur::{phrase_ids, CooccurrenceIndex};
 use topmine_corpus::Corpus;
 use topmine_lda::TopicSummary;
 
-/// How many items of each topic list the raters look at (the paper
-/// visualizes top-10 lists).
-pub const DEFAULT_TOP_N: usize = 10;
-
 /// Raw coherence of one topic's phrase list: mean pairwise NPMI over its
 /// top-`n` phrases (unigrams count too when the list has few phrases —
 /// experts rated the full visualized list).

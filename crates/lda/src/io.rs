@@ -1,29 +1,15 @@
-//! Model persistence: save/load a fitted topic model's distributions and
-//! the topic table, in plain TSV any downstream toolchain can read.
-//!
-//! What is persisted is the *inference result* (φ point estimates, the
-//! per-group topic assignments, hyperparameters) — enough to resume
-//! visualization, scoring, or fold-in without re-running Gibbs. The
+//! Plain-TSV model persistence shared with `topmine_serve`'s bundles: the
+//! φ matrix writer/reader (17 significant digits, so every `f64`
+//! round-trips bit-exactly), the versioned `key<TAB>value` header
+//! writer/reader, and the α-vector assembly their parsers share. The
 //! grouped-document stream itself is saved by `topmine_corpus::io`.
 
-use crate::sampler::PhraseLda;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-/// Version tag written at the top of `hyper.tsv`; [`load_hyperparameters`]
-/// (and thus [`load_model`]) refuses bundles carrying any other tag, with an
-/// error naming both versions instead of a panic further downstream.
-pub const LDA_BUNDLE_FORMAT: &str = "topmine-lda-bundle/1";
-
-/// Write φ (K rows × V columns of probabilities) as TSV with a header row
-/// of word ids.
-pub fn save_phi(model: &PhraseLda, path: &Path) -> io::Result<()> {
-    save_phi_matrix(&model.phi(), path)
-}
-
-/// Write an arbitrary `K × V` probability matrix in the [`save_phi`] format
-/// (17 significant digits, so every `f64` round-trips bit-exactly).
+/// Write a `K × V` probability matrix as TSV with a header row of word
+/// ids (17 significant digits, so every `f64` round-trips bit-exactly).
 pub fn save_phi_matrix(phi: &[Vec<f64>], path: &Path) -> io::Result<()> {
     let mut out = BufWriter::new(File::create(path)?);
     write!(out, "topic")?;
@@ -41,7 +27,8 @@ pub fn save_phi_matrix(phi: &[Vec<f64>], path: &Path) -> io::Result<()> {
     out.flush()
 }
 
-/// Read a φ matrix written by [`save_phi`]; returns `K × V` probabilities.
+/// Read a φ matrix written by [`save_phi_matrix`]; returns `K × V`
+/// probabilities.
 pub fn load_phi(path: &Path) -> io::Result<Vec<Vec<f64>>> {
     let reader = BufReader::new(File::open(path)?);
     let mut rows = Vec::new();
@@ -89,65 +76,6 @@ pub fn load_phi(path: &Path) -> io::Result<Vec<Vec<f64>>> {
     Ok(rows)
 }
 
-/// Write the per-group topic assignments: one line per document, topics
-/// space-separated in group order (`3 0 3 | 1` style is *not* used — group
-/// boundaries live with the saved corpus).
-pub fn save_assignments(model: &PhraseLda, path: &Path) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    for d in 0..model.docs().n_docs() {
-        let n = model.docs().docs[d].n_groups();
-        for g in 0..n {
-            if g > 0 {
-                write!(out, " ")?;
-            }
-            write!(out, "{}", model.topic_of_group(d, g))?;
-        }
-        writeln!(out)?;
-    }
-    out.flush()
-}
-
-/// Read assignments written by [`save_assignments`].
-pub fn load_assignments(path: &Path) -> io::Result<Vec<Vec<u16>>> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut docs = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let topics: Result<Vec<u16>, _> = line.split_whitespace().map(str::parse).collect();
-        docs.push(topics.map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("assignments line {}: {e}", i + 1),
-            )
-        })?);
-    }
-    Ok(docs)
-}
-
-/// Write hyperparameters (asymmetric α vector and β) as `key<TAB>value`,
-/// prefixed with the [`LDA_BUNDLE_FORMAT`] version tag.
-pub fn save_hyperparameters(model: &PhraseLda, path: &Path) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    writeln!(out, "format\t{LDA_BUNDLE_FORMAT}")?;
-    writeln!(out, "n_topics\t{}", model.n_topics())?;
-    writeln!(out, "vocab_size\t{}", model.vocab_size())?;
-    writeln!(out, "beta\t{:.17e}", model.beta())?;
-    for (t, a) in model.alpha().iter().enumerate() {
-        writeln!(out, "alpha{t}\t{a:.17e}")?;
-    }
-    out.flush()
-}
-
-/// The hyperparameter block of a saved bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Hyperparameters {
-    pub n_topics: usize,
-    pub vocab_size: usize,
-    pub beta: f64,
-    /// Asymmetric document-topic Dirichlet, length `n_topics`.
-    pub alpha: Vec<f64>,
-}
-
 fn data_err(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -176,9 +104,8 @@ where
 /// Read a versioned `key<TAB>value` file: line 1 must be
 /// `format<TAB>expected_format` (any other version fails with an error
 /// naming both), empty lines are skipped, and the remaining pairs are
-/// returned with their 1-indexed line numbers. Shared by this crate's
-/// `hyper.tsv` and `topmine_serve`'s bundle `header.tsv` so the format
-/// plumbing cannot drift between them.
+/// returned with their 1-indexed line numbers. `topmine_serve` reads its
+/// bundle `header.tsv` and sharded `manifest.tsv` through it.
 pub fn read_versioned_kv(
     path: &Path,
     expected_format: &str,
@@ -241,108 +168,11 @@ pub fn assemble_alpha(
     Ok(alphas.into_iter().map(|(_, a)| a).collect())
 }
 
-/// Read hyperparameters written by [`save_hyperparameters`], verifying the
-/// format version first.
-pub fn load_hyperparameters(path: &Path) -> io::Result<Hyperparameters> {
-    let mut n_topics = None;
-    let mut vocab_size = None;
-    let mut beta = None;
-    let mut alphas: Vec<(usize, f64)> = Vec::new();
-    for (line_no, key, value) in read_versioned_kv(path, LDA_BUNDLE_FORMAT)? {
-        let bad_num = |k: &str| {
-            data_err(format!(
-                "hyper line {line_no}: bad number for {k}: {value:?}"
-            ))
-        };
-        match key.as_str() {
-            "n_topics" => n_topics = Some(value.parse().map_err(|_| bad_num("n_topics"))?),
-            "vocab_size" => vocab_size = Some(value.parse().map_err(|_| bad_num("vocab_size"))?),
-            "beta" => beta = Some(value.parse().map_err(|_| bad_num("beta"))?),
-            k if k.starts_with("alpha") => {
-                let t: usize = k["alpha".len()..]
-                    .parse()
-                    .map_err(|_| data_err(format!("hyper line {line_no}: bad key {k:?}")))?;
-                alphas.push((t, value.parse().map_err(|_| bad_num(k))?));
-            }
-            other => {
-                return Err(data_err(format!(
-                    "hyper line {line_no}: unknown key {other:?}"
-                )))
-            }
-        }
-    }
-    let n_topics = n_topics.ok_or_else(|| data_err("hyper.tsv missing n_topics".into()))?;
-    let vocab_size = vocab_size.ok_or_else(|| data_err("hyper.tsv missing vocab_size".into()))?;
-    let beta = beta.ok_or_else(|| data_err("hyper.tsv missing beta".into()))?;
-    let alpha = assemble_alpha(alphas, n_topics, "hyper.tsv")?;
-    Ok(Hyperparameters {
-        n_topics,
-        vocab_size,
-        beta,
-        alpha,
-    })
-}
-
-/// Save the full model bundle (`phi.tsv`, `assignments.txt`, `hyper.tsv`)
-/// into a directory.
-pub fn save_model(model: &PhraseLda, dir: &Path) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    save_phi(model, &dir.join("phi.tsv"))?;
-    save_assignments(model, &dir.join("assignments.txt"))?;
-    save_hyperparameters(model, &dir.join("hyper.tsv"))
-}
-
-/// A bundle read back from disk: everything [`save_model`] wrote.
-#[derive(Debug, Clone)]
-pub struct SavedModel {
-    pub phi: Vec<Vec<f64>>,
-    pub assignments: Vec<Vec<u16>>,
-    pub hyper: Hyperparameters,
-}
-
-/// Load the full bundle written by [`save_model`], cross-checking shapes:
-/// φ must be `n_topics × vocab_size` and every assignment must name a valid
-/// topic. All failures are `io::Error`s, never panics.
-pub fn load_model(dir: &Path) -> io::Result<SavedModel> {
-    let hyper = load_hyperparameters(&dir.join("hyper.tsv"))?;
-    let phi = load_phi(&dir.join("phi.tsv"))?;
-    if phi.len() != hyper.n_topics {
-        return Err(data_err(format!(
-            "phi has {} topics but hyper.tsv says {}",
-            phi.len(),
-            hyper.n_topics
-        )));
-    }
-    if let Some(row) = phi.iter().find(|r| r.len() != hyper.vocab_size) {
-        return Err(data_err(format!(
-            "phi rows have {} columns but hyper.tsv says vocab_size {}",
-            row.len(),
-            hyper.vocab_size
-        )));
-    }
-    let assignments = load_assignments(&dir.join("assignments.txt"))?;
-    if let Some(&t) = assignments
-        .iter()
-        .flatten()
-        .find(|&&t| t as usize >= hyper.n_topics)
-    {
-        return Err(data_err(format!(
-            "assignment topic {t} out of range (n_topics {})",
-            hyper.n_topics
-        )));
-    }
-    Ok(SavedModel {
-        phi,
-        assignments,
-        hyper,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{GroupedDoc, GroupedDocs};
-    use crate::sampler::TopicModelConfig;
+    use crate::sampler::{PhraseLda, TopicModelConfig};
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir =
@@ -372,7 +202,7 @@ mod tests {
         let dir = tmpdir("phi");
         let m = model();
         let path = dir.join("phi.tsv");
-        save_phi(&m, &path).unwrap();
+        save_phi_matrix(&m.phi(), &path).unwrap();
         let loaded = load_phi(&path).unwrap();
         let phi = m.phi();
         assert_eq!(loaded.len(), phi.len());
@@ -381,37 +211,6 @@ mod tests {
                 assert!((x - y).abs() < 1e-12, "{x} vs {y}");
             }
         }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn assignments_roundtrip() {
-        let dir = tmpdir("assign");
-        let m = model();
-        let path = dir.join("assignments.txt");
-        save_assignments(&m, &path).unwrap();
-        let loaded = load_assignments(&path).unwrap();
-        assert_eq!(loaded.len(), 10);
-        for (d, topics) in loaded.iter().enumerate() {
-            assert_eq!(topics.len(), 2);
-            for (g, &t) in topics.iter().enumerate() {
-                assert_eq!(t, m.topic_of_group(d, g));
-            }
-        }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn bundle_save_and_hyper_content() {
-        let dir = tmpdir("bundle");
-        let m = model();
-        save_model(&m, &dir).unwrap();
-        assert!(dir.join("phi.tsv").exists());
-        assert!(dir.join("assignments.txt").exists());
-        let hyper = std::fs::read_to_string(dir.join("hyper.tsv")).unwrap();
-        assert!(hyper.contains("n_topics\t3"));
-        assert!(hyper.contains("beta\t"));
-        assert!(hyper.contains("alpha2\t"));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -444,43 +243,29 @@ mod tests {
     }
 
     #[test]
-    fn full_bundle_roundtrip() {
-        let dir = tmpdir("roundtrip");
-        let m = model();
-        save_model(&m, &dir).unwrap();
-        let loaded = load_model(&dir).unwrap();
-        assert_eq!(loaded.hyper.n_topics, m.n_topics());
-        assert_eq!(loaded.hyper.vocab_size, m.vocab_size());
-        assert_eq!(loaded.hyper.beta, m.beta());
-        assert_eq!(loaded.hyper.alpha, m.alpha());
-        assert_eq!(loaded.phi, m.phi());
-        assert_eq!(loaded.assignments.len(), m.docs().n_docs());
-        for (d, topics) in loaded.assignments.iter().enumerate() {
-            for (g, &t) in topics.iter().enumerate() {
-                assert_eq!(t, m.topic_of_group(d, g));
-            }
-        }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn version_mismatch_is_a_clean_error() {
         let dir = tmpdir("version");
-        let m = model();
-        save_model(&m, &dir).unwrap();
-        // A future-versioned bundle must be refused with a message naming
+        let path = dir.join("header.tsv");
+        // A future-versioned file must be refused with a message naming
         // both versions, not mis-parsed.
-        let hyper = dir.join("hyper.tsv");
-        let body = std::fs::read_to_string(&hyper).unwrap();
-        let tampered = body.replace(LDA_BUNDLE_FORMAT, "topmine-lda-bundle/99");
-        std::fs::write(&hyper, tampered).unwrap();
-        let err = load_model(&dir).unwrap_err().to_string();
-        assert!(err.contains("topmine-lda-bundle/99"), "{err}");
-        assert!(err.contains(LDA_BUNDLE_FORMAT), "{err}");
-        // A header-less file (the pre-versioning format) is also refused.
-        std::fs::write(&hyper, "n_topics\t3\nvocab_size\t4\nbeta\t1e-2\n").unwrap();
-        let err = load_model(&dir).unwrap_err().to_string();
+        save_versioned_kv(&path, "topmine-test-kv/99", [("n_topics", 3)]).unwrap();
+        let err = read_versioned_kv(&path, "topmine-test-kv/1")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("topmine-test-kv/99"), "{err}");
+        assert!(err.contains("topmine-test-kv/1"), "{err}");
+        // A header-less file (the pre-versioning format) is refused, and
+        // so is an empty one.
+        std::fs::write(&path, "n_topics\t3\nbeta\t1e-2\n").unwrap();
+        let err = read_versioned_kv(&path, "topmine-test-kv/1")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("versioned header"), "{err}");
+        std::fs::write(&path, "\n").unwrap();
+        let err = read_versioned_kv(&path, "topmine-test-kv/1")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("header.tsv is empty"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -505,21 +290,6 @@ mod tests {
         assert_eq!(beta, 0.01);
         // The reader still rejects the wrong version.
         assert!(read_versioned_kv(&path, "topmine-test-kv/2").is_err());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn bundle_shape_mismatches_are_errors() {
-        let dir = tmpdir("shapes");
-        let m = model();
-        save_model(&m, &dir).unwrap();
-        // Drop a φ row: topic count disagrees with hyper.tsv.
-        let phi_path = dir.join("phi.tsv");
-        let body = std::fs::read_to_string(&phi_path).unwrap();
-        let truncated: Vec<&str> = body.lines().take(3).collect();
-        std::fs::write(&phi_path, truncated.join("\n")).unwrap();
-        let err = load_model(&dir).unwrap_err().to_string();
-        assert!(err.contains("2 topics"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

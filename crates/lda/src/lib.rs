@@ -18,8 +18,8 @@
 //!   snapshot-and-merge sweep (bit-identical across all `n_threads ≥ 2`),
 //!   training/held-out perplexity, and Minka fixed-point hyperparameter
 //!   optimization (§5.3).
-//! * [`io`] — TSV persistence for fitted models (φ, assignments,
-//!   hyperparameters) behind a versioned bundle header.
+//! * [`io`] — the TSV pieces `topmine_serve`'s model bundles are written
+//!   and read with: the φ matrix and versioned `key<TAB>value` headers.
 //! * [`viz`] — topical-frequency ranking (Eq. 8) and the table renderer
 //!   regenerating the layout of the paper's Tables 1 and 4-6.
 

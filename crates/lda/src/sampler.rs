@@ -126,19 +126,8 @@ impl TopicModelConfig {
         self
     }
 
-    pub fn with_hyper_opt(mut self, every: usize, burn_in: usize) -> Self {
-        self.optimize_every = every;
-        self.burn_in = burn_in;
-        self
-    }
-
     pub fn with_threads(mut self, n_threads: usize) -> Self {
         self.n_threads = n_threads;
-        self
-    }
-
-    pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
         self
     }
 }
@@ -707,15 +696,6 @@ impl PhraseLda {
         (0..self.k)
             .filter(|&t| self.counts.n_k(t) as f64 / total as f64 >= min_share)
             .count()
-    }
-
-    /// Count of word `w` in topic `t`.
-    pub fn word_topic_count(&self, w: u32, t: usize) -> u32 {
-        self.counts.n_wk(w, t)
-    }
-
-    pub fn topic_count(&self, t: usize) -> u64 {
-        self.counts.n_k(t)
     }
 
     // ----- perplexity ------------------------------------------------------

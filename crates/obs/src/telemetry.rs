@@ -148,14 +148,6 @@ impl MiningTelemetry {
     pub fn frequent(&self) -> u64 {
         self.levels.iter().map(|l| l.frequent).sum()
     }
-
-    /// Documents dropped by data antimonotonicity, summed over levels.
-    pub fn docs_dropped(&self) -> u64 {
-        self.levels
-            .iter()
-            .map(|l| l.docs_in.saturating_sub(l.docs_out))
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The `ModelBackend` seam: everything below the HTTP layer talks to a
 //! fitted model through this trait, so the serving stack is agnostic to
 //! where the model lives — in this process's memory as one
-//! [`FrozenModel`](crate::FrozenModel) (loaded from either bundle layout),
+//! [`FrozenModel`] (loaded from either bundle layout),
 //! or behind the fleet router
 //! [`RemoteShardedModel`](crate::RemoteShardedModel), whose φ lives in
 //! vocabulary-range shard processes in the parameter-server style

@@ -3,10 +3,10 @@
 //! `/infer` is a pure function of (bundle, text, seed, iters, top), so a
 //! repeated query can be answered from memory instead of burning another
 //! fold-in chain. Entries are keyed by an Fx hash of the full tuple (the
-//! bundle enters via [`ModelBackend::fingerprint`]
-//! (crate::ModelBackend::fingerprint)); the stored key is compared on
-//! every hit, so a hash collision degrades to a miss, never a wrong
-//! answer. Eviction is exact LRU via an intrusive doubly-linked list over
+//! bundle enters via
+//! [`ModelBackend::fingerprint`](crate::ModelBackend::fingerprint)); the
+//! stored key is compared on every hit, so a hash collision degrades to a
+//! miss, never a wrong answer. Eviction is exact LRU via an intrusive doubly-linked list over
 //! a slab — O(1) get/put. Hit/miss counters are exposed through
 //! [`CacheStats`] (surfaced by `GET /healthz`).
 
@@ -31,10 +31,6 @@ pub(crate) struct CacheKey {
 }
 
 impl CacheKey {
-    pub(crate) fn new(fingerprint: u64, text: &str, config: &InferConfig) -> Self {
-        Self::new_seeded(fingerprint, text, config, config.seed)
-    }
-
     /// Key an inference by its *effective* RNG seed rather than the config
     /// seed. Document `i` of a batch runs with `config.seed_for_index(i)`,
     /// so its result is legitimately shared with any single `/infer` whose
@@ -267,14 +263,7 @@ mod tests {
     use super::*;
 
     fn key(text: &str, seed: u64) -> CacheKey {
-        CacheKey::new(
-            42,
-            text,
-            &InferConfig {
-                seed,
-                ..InferConfig::default()
-            },
-        )
+        CacheKey::new_seeded(42, text, &InferConfig::default(), seed)
     }
 
     fn value(n: usize) -> DocInference {

@@ -11,7 +11,7 @@
 //!
 //! Dispatchers drain greedily: whatever is queued when a worker wakes is
 //! coalesced (up to [`DispatchOptions::max_batch`] documents) into one
-//! call to [`QueryEngine::infer_items_amortized`], so concurrent
+//! call to [`QueryEngine::try_infer_items_amortized`], so concurrent
 //! single-document requests share a φ gather exactly like an explicit
 //! `/infer_batch` body does. Seeds per document are unchanged from the
 //! sequential path — batching alters *when* work runs, never what it

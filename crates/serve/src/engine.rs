@@ -1,22 +1,28 @@
-//! The concurrent query engine: a fixed pool of worker threads sharing one
+//! The query engine: fold-in inference over one shared
 //! `Arc<dyn ModelBackend>` — an in-memory model or the fleet router, the
-//! engine cannot tell.
+//! engine cannot tell — behind a bounded LRU [`ResponseCache`].
 //!
-//! The backend is immutable after load, so workers need no locking — each
-//! fold-in pass touches only its own scratch state. Batch inference fans
-//! documents out over the pool and reassembles results in input order;
-//! document `i` always draws from [`InferConfig::seed_for_index`]`(i)`, so
-//! results are bit-identical whatever the worker count, scheduling, or
-//! shard count. Single-document [`QueryEngine::infer`] calls pass through
-//! a bounded LRU [`ResponseCache`] keyed on (bundle fingerprint, text,
-//! seed, iters, top) — inference is a pure function of that tuple, so a
-//! hit returns the identical result without re-running the chain. (The
-//! HTTP layer runs its own connection pool and calls the inline
-//! [`QueryEngine::infer`] path, so request handling never blocks a batch.)
+//! Every entry point runs one cache-aware batch path,
+//! [`QueryEngine::try_infer_items_amortized`]: each document probes the
+//! cache under (bundle fingerprint, text, effective seed, iters, top) —
+//! inference is a pure function of that tuple, so a hit returns the
+//! identical result without re-running the chain — and the misses share
+//! one φ gather through [`try_infer_docs_amortized`]. The HTTP
+//! dispatcher calls it with its coalesced batches; [`QueryEngine::infer`]
+//! is a batch of one; [`QueryEngine::infer_batch`] cuts its input into
+//! contiguous chunks of at most `MAX_BATCH_DOCS` documents (the
+//! `/infer_batch` cap) and folds the chunks in on up to `n_threads`
+//! scoped threads.
+//!
+//! The backend is immutable after load, so threads need no locking beyond
+//! the cache's. Document `i` of a batch always draws
+//! [`InferConfig::seed_for_index`]`(i)`, so results are bit-identical
+//! whatever the thread count, chunking, cache state, or shard count.
 
 use crate::backend::{BackendError, GatherOptions, ModelBackend};
 use crate::cache::{CacheKey, CacheStats, ResponseCache};
-use crate::infer::{infer_doc, try_infer_docs_amortized, BatchItem, DocInference, InferConfig};
+use crate::http::MAX_BATCH_DOCS;
+use crate::infer::{try_infer_docs_amortized, BatchItem, DocInference, InferConfig};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -29,14 +35,15 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 /// A minimal fixed-size thread pool (no external dependencies): jobs are
 /// closures drained from one shared queue; dropping the pool joins all
-/// workers after the queue empties.
-pub struct ThreadPool {
+/// workers after the queue empties. The blocking HTTP front end runs its
+/// connections on it.
+pub(crate) struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
-    pub fn new(n_threads: usize) -> Self {
+    pub(crate) fn new(n_threads: usize) -> Self {
         let n_threads = n_threads.max(1);
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
@@ -62,12 +69,8 @@ impl ThreadPool {
         }
     }
 
-    pub fn n_threads(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Enqueue a job; it runs on some worker as soon as one is free.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
+    pub(crate) fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
         self.sender
             .as_ref()
             .expect("pool already shut down")
@@ -85,11 +88,11 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Batched fold-in inference over a shared model backend, with a response
-/// cache in front of the single-document path.
+/// Cache-aware fold-in inference over a shared model backend.
 pub struct QueryEngine {
     model: Arc<dyn ModelBackend>,
-    pool: ThreadPool,
+    /// Most threads one [`QueryEngine::infer_batch`] call folds chunks on.
+    n_threads: usize,
     cache: Option<ResponseCache>,
     /// Computed once: [`ModelBackend::fingerprint`] walks α, and the model
     /// never changes after load.
@@ -113,7 +116,7 @@ impl QueryEngine {
         let fingerprint = model.fingerprint();
         Self {
             model,
-            pool: ThreadPool::new(n_threads),
+            n_threads: n_threads.max(1),
             cache: (cache_capacity > 0).then(|| ResponseCache::new(cache_capacity)),
             fingerprint,
         }
@@ -121,10 +124,6 @@ impl QueryEngine {
 
     pub fn model(&self) -> &Arc<dyn ModelBackend> {
         &self.model
-    }
-
-    pub fn n_threads(&self) -> usize {
-        self.pool.n_threads()
     }
 
     /// Hit/miss counters of the response cache (all zero when caching is
@@ -141,134 +140,27 @@ impl QueryEngine {
             })
     }
 
-    /// Infer one document on the calling thread (no queueing); equals
-    /// `infer_batch(&[text])[0]`. Answered from the response cache when
-    /// the same (text, seed, iters, top) was inferred before.
+    /// Infer one document on the calling thread with the config seed:
+    /// a batch of one, so it equals `infer_batch(&[text])[0]` and shares
+    /// its cache entry.
     pub fn infer(&self, text: &str, config: &InferConfig) -> DocInference {
-        let Some(cache) = &self.cache else {
-            return infer_doc(self.model.as_ref(), text, config, config.seed_for_index(0));
-        };
-        let metrics = crate::metrics::serve_metrics();
-        let lookup = metrics.stage(crate::metrics::Stage::CacheLookup).span();
-        let key = CacheKey::new(self.fingerprint, text, config);
-        if let Some(hit) = cache.get(&key) {
-            lookup.stop();
-            return hit;
-        }
-        lookup.stop();
-        let inference = infer_doc(self.model.as_ref(), text, config, config.seed_for_index(0));
-        cache.put(key, inference.clone());
-        inference
+        let item = [BatchItem {
+            text: text.to_string(),
+            config: config.clone(),
+            seed: config.seed_for_index(0),
+        }];
+        self.infer_chunk(&item)
+            .pop()
+            .expect("a batch of one yields one inference")
     }
 
-    /// Fan a batch out over the pool; results come back in input order and
-    /// are independent of the worker count (per-index seeds). The batch
-    /// path bypasses the response cache (bulk workloads would churn it).
-    /// Must not be called from inside one of this engine's own jobs (it
-    /// waits for the fan-out to finish).
+    /// Infer a batch; document `i` draws [`InferConfig::seed_for_index`]`(i)`
+    /// and results come back in input order. The input is cut into
+    /// contiguous chunks of at most `MAX_BATCH_DOCS` documents, each one
+    /// cache-aware shared-gather pass; with more than one chunk, the
+    /// chunks are spread over up to `n_threads` scoped threads, each
+    /// taking a contiguous run of them.
     pub fn infer_batch<S: AsRef<str>>(
-        &self,
-        texts: &[S],
-        config: &InferConfig,
-    ) -> Vec<DocInference> {
-        let n = texts.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let (tx, rx) = channel::<(usize, DocInference)>();
-        for (i, text) in texts.iter().enumerate() {
-            let tx = tx.clone();
-            let model = Arc::clone(&self.model);
-            let text = text.as_ref().to_string();
-            let config = config.clone();
-            self.pool.execute(move || {
-                let inference = infer_doc(model.as_ref(), &text, &config, config.seed_for_index(i));
-                let _ = tx.send((i, inference));
-            });
-        }
-        drop(tx);
-        let mut results: Vec<Option<DocInference>> = (0..n).map(|_| None).collect();
-        for (i, inference) in rx {
-            results[i] = Some(inference);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("worker completed every index"))
-            .collect()
-    }
-
-    /// Cache-aware amortized batch on the calling thread: every item
-    /// probes the LRU individually (hits skip fold-in entirely), and the
-    /// misses share **one** φ scatter-gather via
-    /// [`infer_docs_amortized`]. Results come back in item order and are
-    /// bit-identical to per-item [`infer_doc`] calls with the items'
-    /// seeds, whatever mix of hits and misses occurs.
-    pub fn infer_items_amortized(&self, items: &[BatchItem]) -> Vec<DocInference> {
-        self.try_infer_items_amortized(items, &GatherOptions::default())
-            .unwrap_or_else(|e| panic!("phi gather failed: {e}"))
-    }
-
-    /// Fallible [`infer_items_amortized`](QueryEngine::infer_items_amortized):
-    /// a shard failure during the shared gather fails the whole miss set
-    /// (cache hits found before the failure are discarded with it — the
-    /// dispatcher answers every queued request with the error). Identical
-    /// results on the success path.
-    pub fn try_infer_items_amortized(
-        &self,
-        items: &[BatchItem],
-        gather_opts: &GatherOptions,
-    ) -> Result<Vec<DocInference>, BackendError> {
-        let metrics = crate::metrics::serve_metrics();
-        let mut results: Vec<Option<DocInference>> = (0..items.len()).map(|_| None).collect();
-        let mut miss_idx: Vec<usize> = Vec::new();
-        if let Some(cache) = &self.cache {
-            for (i, item) in items.iter().enumerate() {
-                let lookup = metrics.stage(crate::metrics::Stage::CacheLookup).span();
-                let key =
-                    CacheKey::new_seeded(self.fingerprint, &item.text, &item.config, item.seed);
-                let hit = cache.get(&key);
-                lookup.stop();
-                match hit {
-                    Some(found) => results[i] = Some(found),
-                    None => miss_idx.push(i),
-                }
-            }
-        } else {
-            miss_idx.extend(0..items.len());
-        }
-        if !miss_idx.is_empty() {
-            // All-miss batches (and cacheless engines) fold the caller's
-            // slice directly; only a mixed batch pays for compacting the
-            // misses into their own buffer.
-            let inferred = if miss_idx.len() == items.len() {
-                try_infer_docs_amortized(self.model.as_ref(), items, gather_opts)?
-            } else {
-                let misses: Vec<BatchItem> = miss_idx.iter().map(|&i| items[i].clone()).collect();
-                try_infer_docs_amortized(self.model.as_ref(), &misses, gather_opts)?
-            };
-            for (&i, inference) in miss_idx.iter().zip(inferred) {
-                if let Some(cache) = &self.cache {
-                    let item = &items[i];
-                    cache.put(
-                        CacheKey::new_seeded(self.fingerprint, &item.text, &item.config, item.seed),
-                        inference.clone(),
-                    );
-                }
-                results[i] = Some(inference);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every item resolved"))
-            .collect())
-    }
-
-    /// Amortized batch over one config: document `i` draws
-    /// [`InferConfig::seed_for_index`]`(i)` — the same seeds as
-    /// [`infer_batch`](QueryEngine::infer_batch) — but the whole batch
-    /// shares a single φ gather instead of fanning out per-document
-    /// gathers over the pool.
-    pub fn infer_batch_amortized<S: AsRef<str>>(
         &self,
         texts: &[S],
         config: &InferConfig,
@@ -282,7 +174,85 @@ impl QueryEngine {
                 seed: config.seed_for_index(i),
             })
             .collect();
-        self.infer_items_amortized(&items)
+        let fold_run = |run: &[BatchItem]| -> Vec<DocInference> {
+            run.chunks(MAX_BATCH_DOCS)
+                .flat_map(|chunk| self.infer_chunk(chunk))
+                .collect()
+        };
+        let n_chunks = items.len().div_ceil(MAX_BATCH_DOCS);
+        let n_threads = self.n_threads.min(n_chunks);
+        if n_threads <= 1 {
+            return fold_run(&items);
+        }
+        let per_thread = n_chunks.div_ceil(n_threads) * MAX_BATCH_DOCS;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = items
+                .chunks(per_thread)
+                .map(|run| scope.spawn(move || fold_run(run)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    }
+
+    /// [`QueryEngine::try_infer_items_amortized`] for the infallible entry
+    /// points.
+    fn infer_chunk(&self, items: &[BatchItem]) -> Vec<DocInference> {
+        self.try_infer_items_amortized(items, &GatherOptions::default())
+            .unwrap_or_else(|e| panic!("phi gather failed: {e}"))
+    }
+
+    /// Cache-aware shared-gather batch on the calling thread: every item
+    /// probes the LRU under its own effective seed (hits skip fold-in
+    /// entirely), and the misses share **one** φ scatter-gather via
+    /// [`try_infer_docs_amortized`]. Results come back in item order and
+    /// do not depend on the mix of hits and misses. A shard failure during
+    /// the shared gather fails the whole call (cache hits found before the
+    /// failure are discarded with it — the dispatcher answers every queued
+    /// request with the error).
+    pub fn try_infer_items_amortized(
+        &self,
+        items: &[BatchItem],
+        gather_opts: &GatherOptions,
+    ) -> Result<Vec<DocInference>, BackendError> {
+        let Some(cache) = &self.cache else {
+            return try_infer_docs_amortized(self.model.as_ref(), items, gather_opts);
+        };
+        let metrics = crate::metrics::serve_metrics();
+        let mut results: Vec<Option<DocInference>> = Vec::with_capacity(items.len());
+        let mut misses: Vec<(usize, CacheKey)> = Vec::new();
+        for (i, item) in items.iter().enumerate() {
+            let lookup = metrics.stage(crate::metrics::Stage::CacheLookup).span();
+            let key = CacheKey::new_seeded(self.fingerprint, &item.text, &item.config, item.seed);
+            let hit = cache.get(&key);
+            lookup.stop();
+            if hit.is_none() {
+                misses.push((i, key));
+            }
+            results.push(hit);
+        }
+        if !misses.is_empty() {
+            // An all-miss batch folds the caller's slice directly; only a
+            // mixed batch pays for compacting the misses into their own
+            // buffer.
+            let inferred = if misses.len() == items.len() {
+                try_infer_docs_amortized(self.model.as_ref(), items, gather_opts)?
+            } else {
+                let compacted: Vec<BatchItem> =
+                    misses.iter().map(|(i, _)| items[*i].clone()).collect();
+                try_infer_docs_amortized(self.model.as_ref(), &compacted, gather_opts)?
+            };
+            for ((i, key), inference) in misses.into_iter().zip(inferred) {
+                cache.put(key, inference.clone());
+                results[i] = Some(inference);
+            }
+        }
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("every item resolved"))
+            .collect())
     }
 }
 
@@ -290,6 +260,7 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use crate::frozen::tests::tiny_model;
+    use crate::infer::infer_doc;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -322,7 +293,7 @@ mod tests {
         for (i, (text, inference)) in texts.iter().zip(&batch).enumerate() {
             assert_eq!(
                 *inference,
-                model.infer_seeded(text, &cfg, cfg.seed_for_index(i))
+                infer_doc(model.as_ref(), text, &cfg, cfg.seed_for_index(i))
             );
         }
     }
@@ -337,6 +308,32 @@ mod tests {
         let single = QueryEngine::new(model.clone(), 1).infer_batch(&texts, &cfg);
         let many = QueryEngine::new(model.clone(), 8).infer_batch(&texts, &cfg);
         assert_eq!(single, many);
+
+        // More than one chunk: three chunks, the last one short, so every
+        // thread count below puts a chunk boundary inside some thread's
+        // run or between runs. Each document must still equal its own
+        // per-document fold-in with its global index's seed.
+        let cfg = InferConfig {
+            fold_iters: 2,
+            ..InferConfig::default()
+        };
+        // The numbers occur in both training topics, so their draws (and
+        // θ) depend on each document's seed.
+        let texts: Vec<String> = (0..2 * MAX_BATCH_DOCS + 7)
+            .map(|i| format!("{} {} {} data streams", i % 30, i / 30 % 30, i % 7))
+            .collect();
+        let alone: Vec<DocInference> = texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| infer_doc(model.as_ref(), t, &cfg, cfg.seed_for_index(i)))
+            .collect();
+        for n_threads in [1, 2, 3, 7] {
+            let engine = QueryEngine::new(model.clone(), n_threads);
+            assert!(
+                engine.infer_batch(&texts, &cfg) == alone,
+                "chunked batch diverged at {n_threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -370,25 +367,25 @@ mod tests {
     }
 
     #[test]
-    fn amortized_batch_matches_pool_batch_and_fills_the_cache() {
-        let model = Arc::new(tiny_model());
-        let engine = QueryEngine::new(model.clone(), 2);
+    fn infer_batch_fills_and_hits_the_cache() {
+        let engine = QueryEngine::new(Arc::new(tiny_model()), 2);
         let texts: Vec<String> = (0..8)
             .map(|i| format!("mining frequent patterns number {i}"))
             .collect();
         let cfg = InferConfig::default();
-        let amortized = engine.infer_batch_amortized(&texts, &cfg);
-        assert_eq!(amortized, engine.infer_batch(&texts, &cfg));
-        // Second amortized pass answers every document from the cache.
-        let before = engine.cache_stats();
-        let again = engine.infer_batch_amortized(&texts, &cfg);
-        assert_eq!(again, amortized);
-        let after = engine.cache_stats();
-        assert_eq!(after.hits, before.hits + texts.len() as u64);
+        let first = engine.infer_batch(&texts, &cfg);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 8, 8));
+        // A second pass answers every document from the cache.
+        assert_eq!(engine.infer_batch(&texts, &cfg), first);
+        assert_eq!(engine.cache_stats().hits, 8);
         // Document 0 keys on the config seed, so a single `infer` of the
-        // same text is a hit too.
-        assert_eq!(engine.infer(&texts[0], &cfg), amortized[0]);
-        assert_eq!(engine.cache_stats().hits, after.hits + 1);
+        // same text is a hit too; a new text in a batch is a miss.
+        assert_eq!(engine.infer(&texts[0], &cfg), first[0]);
+        let mixed = engine.infer_batch(&[texts[0].as_str(), "data streams"], &cfg);
+        assert_eq!(mixed[0], first[0]);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (10, 9, 9));
     }
 
     #[test]

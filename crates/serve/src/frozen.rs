@@ -9,7 +9,7 @@
 //! 2. the **phrase lexicon** as a [`PhraseTrie`], so unseen documents are
 //!    segmented by the same Algorithm 2 pass (via
 //!    `topmine_phrase`'s construction, which is generic over
-//!    [`PhraseCounts`](topmine_phrase::PhraseCounts));
+//!    [`PhraseCounts`]);
 //! 3. the **topic model point estimate** — φ, the asymmetric α vector and
 //!    β — frozen for Eq. 7 fold-in.
 //!

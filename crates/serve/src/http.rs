@@ -20,8 +20,8 @@
 //!   seeds.
 //!
 //! Two interchangeable front ends feed one shared admission pipeline
-//! ([`dispatch`](crate::dispatch)): the default on Linux/x86-64 is a
-//! single-threaded epoll event loop ([`event_loop`](crate::event_loop))
+//! (the private `dispatch` module): the default on Linux/x86-64 is a
+//! single-threaded epoll event loop (the private `event_loop` module)
 //! that parses requests incrementally and answers the cheap read routes
 //! inline; elsewhere (or via [`ServerConfig::front_end`]) a
 //! thread-per-connection loop does the same job. Either way, inference

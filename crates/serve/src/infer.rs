@@ -12,21 +12,24 @@
 //!
 //! — Eq. 7's document side with the word side frozen.
 //!
-//! Inference runs against any [`ModelBackend`], in-memory or fleet, in
+//! There is one fold-in implementation, [`try_infer_docs_amortized`],
+//! and it works on a batch: a single document ([`infer_doc`]) is a batch
+//! of one. It runs against any [`ModelBackend`], in-memory or fleet, in
 //! two phases:
 //!
-//! 1. **gather**: the document's tokens are remapped onto a dense local
-//!    word table and the φ columns they touch are gathered
+//! 1. **gather**: every document's tokens are remapped onto one dense
+//!    word table for the batch and the φ columns they touch are gathered
 //!    ([`ModelBackend::try_gather_phi`]) into one cache-friendly
 //!    topic-major block — a plain copy in memory, one frame per shard
 //!    through the fleet router;
-//! 2. **local Gibbs**: the fold-in sweeps run entirely against the
-//!    gathered block, touching no shard again.
+//! 2. **local Gibbs**: each document's fold-in sweeps run entirely
+//!    against the gathered block, touching no shard again.
 //!
-//! Because the gathered values are the trained `f64`s bit-for-bit and the
-//! sweep order is fixed, everything is deterministic given the seed: same
-//! seed ⇒ bit-identical θ, topic ranking, and phrase annotations,
-//! regardless of backend, shard count, or which thread runs it.
+//! Because the gathered values are the trained `f64`s bit-for-bit, the
+//! sweep order is fixed and each document's chain has its own seeded RNG,
+//! everything is deterministic given the seed: same seed ⇒ bit-identical
+//! θ, topic ranking, and phrase annotations, regardless of backend, shard
+//! count, batch composition, or which thread runs it.
 //!
 //! The per-clique posterior and the discrete draw are **not** implemented
 //! here: the sweeps call into `topmine_lda::kernel` (the same code training
@@ -40,16 +43,21 @@ use std::cell::RefCell;
 use topmine_lda::kernel::{clique_posterior, sample_discrete, CliqueScratch, FrozenPhiView};
 use topmine_util::FxHashMap;
 
-/// Reusable fold-in buffers, kept thread-local so `QueryEngine` worker
-/// threads (and the HTTP connection handlers calling the inline path)
-/// stop re-allocating the remap/count/weight buffers on every request.
-/// Only the gathered φ block and the returned `DocInference` allocate per
-/// call. Contents are fully reset per document, so results are
-/// bit-identical to the allocate-per-call code.
+/// Reusable fold-in buffers, kept thread-local so dispatcher workers and
+/// in-process callers stop re-allocating the batch remap table, the
+/// remapped tokens and the chain buffers on every batch. Only each
+/// document's preprocessing, the gathered φ block and the returned
+/// `DocInference`s allocate per call. Every buffer is reset before use,
+/// so results never depend on what ran before on the thread.
 #[derive(Default)]
 struct InferScratch {
-    local_of: FxHashMap<u32, u32>,
+    /// Batch remap: word id → dense column of the gathered φ block.
+    col_of: FxHashMap<u32, u32>,
+    /// The batch's distinct word ids, in column order.
     distinct: Vec<u32>,
+    /// Per column, the last document that touched it.
+    last_doc: Vec<usize>,
+    /// Every document's tokens as columns, concatenated in item order.
     local_tokens: Vec<u32>,
     local_ndk: Vec<u32>,
     z: Vec<u16>,
@@ -119,9 +127,7 @@ pub struct DocInference {
 
 /// Run one document's fold-in Gibbs chain against a gathered φ view.
 /// `local_tokens` index columns of `view`; `spans` are the phrase cliques
-/// over it. Pure code motion out of [`infer_doc`] — same draw order, same
-/// arithmetic — so the per-document and batched paths share exactly one
-/// implementation of the chain (the pinned fold-in digest is the witness).
+/// over it. The draw order is pinned by the fold-in digest test.
 #[allow(clippy::too_many_arguments)]
 fn fold_in_chain(
     view: &FrozenPhiView,
@@ -172,7 +178,7 @@ fn fold_in_chain(
 
 /// Assemble the response struct from a finished chain's state (θ from the
 /// final counts, ranking with deterministic ties, phrase annotations in
-/// document order). Shared verbatim by both inference paths.
+/// document order).
 #[allow(clippy::too_many_arguments)]
 fn assemble_inference(
     model: &dyn ModelBackend,
@@ -218,98 +224,9 @@ fn assemble_inference(
     }
 }
 
-/// Infer topics for one unseen document against any backend with an
-/// explicit seed. This is the single fold-in implementation; the
-/// in-memory model, the fleet router (and the [`QueryEngine`]
-/// (crate::QueryEngine)) all route here.
-pub fn infer_doc(
-    model: &dyn ModelBackend,
-    text: &str,
-    config: &InferConfig,
-    seed: u64,
-) -> DocInference {
-    try_infer_doc(model, text, config, seed, &GatherOptions::default())
-        .unwrap_or_else(|e| panic!("phi gather failed: {e} (fallible backends use try_infer_doc)"))
-}
-
-/// Fallible [`infer_doc`]: a remote backend's shard failure surfaces as a
-/// [`BackendError`] instead of a panic. Identical draws and results on the
-/// success path.
-pub fn try_infer_doc(
-    model: &dyn ModelBackend,
-    text: &str,
-    config: &InferConfig,
-    seed: u64,
-    gather_opts: &GatherOptions,
-) -> Result<DocInference, BackendError> {
-    let metrics = crate::metrics::serve_metrics();
-    metrics.infer_docs_total.inc();
-    let prepared = model.prepare(text);
-    let spans = model.segment(&prepared.doc);
-    let k = model.n_topics();
-    let alpha = model.alpha();
-    let tokens = &prepared.doc.tokens;
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    INFER_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-
-        // Scatter-gather: remap tokens onto a dense local word table, then
-        // fetch exactly the φ columns this document touches from their
-        // owning shards. The Gibbs sweeps below never leave the gathered
-        // block.
-        scratch.local_of.clear();
-        scratch.distinct.clear();
-        scratch.local_tokens.clear();
-        for &w in tokens {
-            let distinct = &mut scratch.distinct;
-            let id = *scratch.local_of.entry(w).or_insert_with(|| {
-                distinct.push(w);
-                (distinct.len() - 1) as u32
-            });
-            scratch.local_tokens.push(id);
-        }
-        let n_local = scratch.distinct.len();
-        // Topic-major `k × n_local`: φ[t][distinct[j]] at `t * n_local + j`.
-        let gather = metrics.stage(crate::metrics::Stage::PhiGather).span();
-        let phi = model.try_gather_phi(&scratch.distinct, gather_opts)?;
-        gather.stop();
-        metrics.phi_columns_total.add(n_local as u64);
-        let view = FrozenPhiView::new(&phi, n_local, k);
-
-        let fold = metrics.stage(crate::metrics::Stage::FoldIn).span();
-        fold_in_chain(
-            &view,
-            alpha,
-            &spans,
-            &scratch.local_tokens,
-            k,
-            config.fold_iters,
-            &mut rng,
-            &mut scratch.local_ndk,
-            &mut scratch.z,
-            &mut scratch.weights,
-            &mut scratch.clique,
-        );
-        fold.stop();
-
-        Ok(assemble_inference(
-            model,
-            alpha,
-            k,
-            tokens,
-            &spans,
-            &scratch.local_ndk,
-            &scratch.z,
-            config.top_topics,
-            prepared.n_oov,
-        ))
-    })
-}
-
-/// One document of a shared-gather batch: the text plus its fully resolved
-/// RNG seed (the caller applies [`InferConfig::seed_for_index`] or keeps
-/// the config seed — the batch path never derives seeds itself).
+/// One document of a fold-in batch: the text plus its fully resolved RNG
+/// seed (the caller applies [`InferConfig::seed_for_index`] or keeps the
+/// config seed — the batch path never derives seeds itself).
 #[derive(Debug, Clone)]
 pub struct BatchItem {
     pub text: String,
@@ -318,26 +235,44 @@ pub struct BatchItem {
     pub seed: u64,
 }
 
-/// Fold in a batch of documents with **one** φ scatter-gather for the
-/// whole batch: the union of every document's distinct words is gathered
-/// once ([`ModelBackend::try_gather_phi`] — a single fan-out through the
-/// fleet router), then each document's chain runs against its slice of
-/// the shared table.
-///
-/// Bit-identical to calling [`infer_doc`] per document with the same
-/// seeds: the gathered entries are the exact trained `f64`s whichever
-/// table they sit in, each document's tokens index the same values, and
-/// each chain consumes its own freshly seeded RNG — only the column
-/// *addressing* changes, never an operand or a draw.
-pub fn infer_docs_amortized(model: &dyn ModelBackend, items: &[BatchItem]) -> Vec<DocInference> {
-    try_infer_docs_amortized(model, items, &GatherOptions::default()).unwrap_or_else(|e| {
-        panic!("phi gather failed: {e} (fallible backends use try_infer_docs_amortized)")
-    })
+/// Infer topics for one unseen document against any backend with an
+/// explicit seed: a batch of one through [`try_infer_docs_amortized`].
+/// Panics if the backend's φ gather fails; fallible callers use
+/// [`try_infer_docs_amortized`].
+pub fn infer_doc(
+    model: &dyn ModelBackend,
+    text: &str,
+    config: &InferConfig,
+    seed: u64,
+) -> DocInference {
+    let item = [BatchItem {
+        text: text.to_string(),
+        config: config.clone(),
+        seed,
+    }];
+    try_infer_docs_amortized(model, &item, &GatherOptions::default())
+        .unwrap_or_else(|e| {
+            panic!("phi gather failed: {e} (fallible backends use try_infer_docs_amortized)")
+        })
+        .pop()
+        .expect("a batch of one yields one inference")
 }
 
-/// Fallible [`infer_docs_amortized`] — the dispatcher's entry point, so a
-/// down shard becomes one batch-wide [`BackendError`] (each queued request
-/// is answered with the mapped HTTP status) instead of a worker panic.
+/// Fold in a batch of documents with **one** φ scatter-gather for the
+/// whole batch — the only fold-in implementation; [`infer_doc`] and every
+/// [`QueryEngine`](crate::QueryEngine) entry point call it. The union of
+/// every document's distinct words is gathered once
+/// ([`ModelBackend::try_gather_phi`] — a single fan-out through the fleet
+/// router), then each document's chain runs against its columns of the
+/// shared block.
+///
+/// Results do not depend on how documents are grouped into batches: the
+/// gathered entries are the exact trained `f64`s whichever column they
+/// sit in, and each chain consumes its own RNG seeded from its item, so
+/// only the column *addressing* changes, never an operand or a draw. A
+/// remote backend's shard failure fails the whole batch with one
+/// [`BackendError`] (the dispatcher answers each queued request with the
+/// mapped HTTP status).
 pub fn try_infer_docs_amortized(
     model: &dyn ModelBackend,
     items: &[BatchItem],
@@ -353,96 +288,97 @@ pub fn try_infer_docs_amortized(
     let prepared: Vec<_> = items.iter().map(|it| model.prepare(&it.text)).collect();
     let spans: Vec<Vec<(u32, u32)>> = prepared.iter().map(|p| model.segment(&p.doc)).collect();
 
-    // Batch-level remap: one dense column per distinct word across the
-    // whole batch. `last_doc` tracks, per column, the last document that
-    // touched it, which yields the per-document distinct count (what N
-    // separate gathers would have fetched) without a second hash map.
-    let mut col_of: FxHashMap<u32, u32> = FxHashMap::default();
-    let mut batch_distinct: Vec<u32> = Vec::new();
-    let mut last_doc: Vec<usize> = Vec::new();
-    let mut naive_columns = 0u64;
-    let mut local_tokens: Vec<Vec<u32>> = Vec::with_capacity(items.len());
-    for (d, p) in prepared.iter().enumerate() {
-        let mut lt = Vec::with_capacity(p.doc.tokens.len());
-        for &w in &p.doc.tokens {
-            let col = *col_of.entry(w).or_insert_with(|| {
-                batch_distinct.push(w);
-                last_doc.push(usize::MAX);
-                (batch_distinct.len() - 1) as u32
-            });
-            if last_doc[col as usize] != d {
-                last_doc[col as usize] = d;
-                naive_columns += 1;
+    INFER_SCRATCH.with(|cell| {
+        let InferScratch {
+            col_of,
+            distinct,
+            last_doc,
+            local_tokens,
+            local_ndk,
+            z,
+            weights,
+            clique,
+        } = &mut *cell.borrow_mut();
+
+        // Batch remap: one dense column per distinct word across the whole
+        // batch. `last_doc` yields the per-document distinct count (what N
+        // separate gathers would have fetched) without a second hash map.
+        col_of.clear();
+        distinct.clear();
+        last_doc.clear();
+        local_tokens.clear();
+        let mut naive_columns = 0u64;
+        for (d, p) in prepared.iter().enumerate() {
+            for &w in &p.doc.tokens {
+                let col = *col_of.entry(w).or_insert_with(|| {
+                    distinct.push(w);
+                    last_doc.push(usize::MAX);
+                    (distinct.len() - 1) as u32
+                });
+                if last_doc[col as usize] != d {
+                    last_doc[col as usize] = d;
+                    naive_columns += 1;
+                }
+                local_tokens.push(col);
             }
-            lt.push(col);
         }
-        local_tokens.push(lt);
-    }
 
-    let gather = metrics.stage(crate::metrics::Stage::PhiGather).span();
-    let phi = model.try_gather_phi(&batch_distinct, gather_opts)?;
-    gather.stop();
-    metrics.phi_columns_total.add(batch_distinct.len() as u64);
-    metrics
-        .batch_phi_columns_gathered
-        .add(batch_distinct.len() as u64);
-    metrics.batch_phi_columns_naive.add(naive_columns);
-    let view = FrozenPhiView::new(&phi, batch_distinct.len(), k);
+        // Topic-major `k × n_cols`: φ[t][distinct[j]] at `t * n_cols + j`.
+        let gather = metrics.stage(crate::metrics::Stage::PhiGather).span();
+        let phi = model.try_gather_phi(distinct, gather_opts)?;
+        gather.stop();
+        let n_cols = distinct.len();
+        metrics.phi_columns_total.add(n_cols as u64);
+        metrics.batch_phi_columns_gathered.add(n_cols as u64);
+        metrics.batch_phi_columns_naive.add(naive_columns);
+        let view = FrozenPhiView::new(&phi, n_cols, k);
 
-    // Chain buffers are reused across the batch's documents; each chain
-    // fully resets them, exactly as the thread-local scratch path does.
-    let mut local_ndk: Vec<u32> = Vec::new();
-    let mut z: Vec<u16> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-    let mut clique = CliqueScratch::default();
-
-    let fold = metrics.stage(crate::metrics::Stage::FoldIn).span();
-    let results = items
-        .iter()
-        .enumerate()
-        .map(|(d, item)| {
-            metrics.infer_docs_total.inc();
-            let mut rng = StdRng::seed_from_u64(item.seed);
-            fold_in_chain(
-                &view,
-                alpha,
-                &spans[d],
-                &local_tokens[d],
-                k,
-                item.config.fold_iters,
-                &mut rng,
-                &mut local_ndk,
-                &mut z,
-                &mut weights,
-                &mut clique,
-            );
-            assemble_inference(
-                model,
-                alpha,
-                k,
-                &prepared[d].doc.tokens,
-                &spans[d],
-                &local_ndk,
-                &z,
-                item.config.top_topics,
-                prepared[d].n_oov,
-            )
-        })
-        .collect();
-    fold.stop();
-    Ok(results)
+        let fold = metrics.stage(crate::metrics::Stage::FoldIn).span();
+        let mut start = 0;
+        let results = items
+            .iter()
+            .zip(&prepared)
+            .zip(&spans)
+            .map(|((item, p), spans)| {
+                metrics.infer_docs_total.inc();
+                let end = start + p.doc.tokens.len();
+                let mut rng = StdRng::seed_from_u64(item.seed);
+                fold_in_chain(
+                    &view,
+                    alpha,
+                    spans,
+                    &local_tokens[start..end],
+                    k,
+                    item.config.fold_iters,
+                    &mut rng,
+                    local_ndk,
+                    z,
+                    weights,
+                    clique,
+                );
+                start = end;
+                assemble_inference(
+                    model,
+                    alpha,
+                    k,
+                    &p.doc.tokens,
+                    spans,
+                    local_ndk,
+                    z,
+                    item.config.top_topics,
+                    p.n_oov,
+                )
+            })
+            .collect();
+        fold.stop();
+        Ok(results)
+    })
 }
 
 impl crate::frozen::FrozenModel {
     /// Infer topics for one unseen document with the configured seed.
     pub fn infer(&self, text: &str, config: &InferConfig) -> DocInference {
         infer_doc(self, text, config, config.seed)
-    }
-
-    /// Infer with an explicit seed (batch entry points pass
-    /// [`InferConfig::seed_for_index`]).
-    pub fn infer_seeded(&self, text: &str, config: &InferConfig, seed: u64) -> DocInference {
-        infer_doc(self, text, config, seed)
     }
 }
 
@@ -571,11 +507,12 @@ mod tests {
                 seed: cfg.seed_for_index(i),
             })
             .collect();
-        let batched = infer_docs_amortized(&m, &items);
+        let opts = GatherOptions::default();
+        let batched = try_infer_docs_amortized(&m, &items, &opts).unwrap();
         for (i, item) in items.iter().enumerate() {
             let single = infer_doc(&m, &item.text, &cfg, cfg.seed_for_index(i));
             assert_eq!(batched[i], single, "doc {i} diverged");
         }
-        assert!(infer_docs_amortized(&m, &[]).is_empty());
+        assert!(try_infer_docs_amortized(&m, &[], &opts).unwrap().is_empty());
     }
 }

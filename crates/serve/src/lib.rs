@@ -20,17 +20,19 @@
 //!   fleet puts the shards back together into one [`FrozenModel`];
 //! * [`infer`] — **fold-in inference**: segment unseen text with the
 //!   frozen lexicon (Algorithm 2 against the trie), gather the φ columns
-//!   the document touches, then run a short fixed-φ Gibbs chain
-//!   preserving the phrase-clique constraint (Eq. 7) to get θ, topic
-//!   rankings, and per-phrase topic annotations — deterministic given a
-//!   seed;
+//!   a batch of documents touches in one shared gather, then run a short
+//!   fixed-φ Gibbs chain per document preserving the phrase-clique
+//!   constraint (Eq. 7) to get θ, topic rankings, and per-phrase topic
+//!   annotations — deterministic given a seed. A single document is a
+//!   batch of one: there is one fold-in implementation;
 //! * [`engine`] / [`cache`] / [`http`] — the **query engine and server**:
-//!   an `Arc<dyn ModelBackend>`-sharing thread pool for batched inference
-//!   with a bounded LRU response cache in front of single-document
-//!   queries, fronted by a std-only HTTP/1.1 keep-alive server
-//!   (`topmine serve`); `topmine infer` is the one-shot sibling. The
-//!   server runs one of two front ends over a shared admission pipeline
-//!   (`dispatch`): a single-threaded epoll event loop on Linux/x86-64
+//!   [`QueryEngine`] puts a bounded LRU response cache, probed per
+//!   document, in front of that batch fold-in (large in-process batches
+//!   are cut into chunks folded in on scoped threads), fronted by a
+//!   std-only HTTP/1.1 keep-alive server (`topmine serve`);
+//!   `topmine infer` is the one-shot sibling. The server runs one of two
+//!   front ends over a shared admission pipeline (`dispatch`): a
+//!   single-threaded epoll event loop on Linux/x86-64
 //!   (`event_loop`, raw syscalls — no libc) or a portable blocking
 //!   accept loop. Inference requests pass through a **bounded admission
 //!   queue** (overflow ⇒ `429` + `Retry-After`, deadline expiry ⇒ `504`)
@@ -93,13 +95,13 @@ pub mod wire;
 
 pub use backend::{load_bundle, BackendError, GatherOptions, ModelBackend};
 pub use cache::{CacheStats, ResponseCache};
-pub use engine::{QueryEngine, ThreadPool, DEFAULT_CACHE_CAPACITY};
+pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig, FROZEN_MODEL_FORMAT};
 pub use http::{
     batch_inference_json, inference_json, FrontEnd, HttpServer, ServerConfig, ServerHandle,
 };
 pub use infer::{
-    infer_doc, infer_docs_amortized, BatchItem, DocInference, InferConfig, PhraseAssignment,
+    infer_doc, try_infer_docs_amortized, BatchItem, DocInference, InferConfig, PhraseAssignment,
 };
 pub use metrics::{serve_metrics, ServeMetrics, Stage};
 pub use pool::{PoolConfig, ShardClient, ShardHealth, WireStats};

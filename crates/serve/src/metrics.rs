@@ -79,12 +79,14 @@ pub struct ServeMetrics {
     /// Documents folded in per dispatcher batch (how well coalescing and
     /// `/infer_batch` fill each dispatch).
     pub dispatch_batch_docs: Arc<Histogram>,
-    /// φ columns actually gathered by batched dispatches (one column per
-    /// distinct word across the whole batch).
+    /// φ columns actually gathered by fold-in batches (one column per
+    /// distinct word across the whole batch). Every fold-in is a batch, so
+    /// single-document calls count too, as batches of one.
     pub batch_phi_columns_gathered: Arc<Counter>,
     /// φ columns the same batches would have gathered one document at a
     /// time (Σ per-document distinct words). The ratio naive/gathered is
-    /// the cross-document amortization factor.
+    /// the cross-document amortization factor; a single-document call
+    /// adds the same amount to both counters.
     pub batch_phi_columns_naive: Arc<Counter>,
     /// Requests refused at admission (429: queue full).
     pub requests_rejected_total: Arc<Counter>,
@@ -155,12 +157,12 @@ pub fn serve_metrics() -> &'static ServeMetrics {
             ),
             batch_phi_columns_gathered: r.counter(
                 "topmine_batch_phi_columns_gathered_total",
-                "Phi columns gathered by batched dispatches (union of distinct words)",
+                "Phi columns gathered by fold-in batches (union of distinct words; single documents are batches of one)",
                 &[],
             ),
             batch_phi_columns_naive: r.counter(
                 "topmine_batch_phi_columns_naive_total",
-                "Phi columns the same batches would gather one document at a time",
+                "Phi columns the same batches would gather one document at a time (equal to gathered for single documents)",
                 &[],
             ),
             requests_rejected_total: r.counter(

@@ -108,7 +108,7 @@ proptest! {
         let docs: Vec<&str> = doc_idx.iter().map(|&i| DOC_POOL[i]).collect();
         // No response cache: every document must take the amortized path.
         let engine = QueryEngine::with_cache_capacity(Arc::clone(&router), 1, 0);
-        let batched = engine.infer_batch_amortized(&docs, &cfg);
+        let batched = engine.infer_batch(&docs, &cfg);
         let seeds = (0..docs.len()).map(|i| cfg.seed_for_index(i));
         let alone: Vec<_> = docs
             .iter()

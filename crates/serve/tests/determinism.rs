@@ -7,7 +7,7 @@ use std::sync::Arc;
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{inference_json, FrozenModel, InferConfig, QueryEngine};
+use topmine_serve::{infer_doc, inference_json, FrozenModel, InferConfig, QueryEngine};
 
 fn fitted_model() -> FrozenModel {
     let texts: Vec<String> = (0..40)
@@ -79,7 +79,7 @@ fn infer_doc_outputs_match_recorded_digest() {
     let results: Vec<_> = texts
         .iter()
         .enumerate()
-        .map(|(i, t)| model.infer_seeded(t, &cfg, cfg.seed_for_index(i)))
+        .map(|(i, t)| infer_doc(&model, t, &cfg, cfg.seed_for_index(i)))
         .collect();
     let digest = inference_digest(&results);
     assert_eq!(
